@@ -25,6 +25,7 @@ from .exactreal import (
     continued_fraction,
     convergents,
     floor_mult,
+    floor_sum,
     make_exact,
 )
 from .indices import (
@@ -71,7 +72,6 @@ from .orbits import (
 )
 from .presets_io import load_preset, preset_names
 from .stheta import (
-    SThetaProfile,
     admissible_end_multiplicity,
     density_profile,
     in_s_theta,

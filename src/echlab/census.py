@@ -22,8 +22,9 @@ from .errors import (
     DegenerateAngleError,
     HyperbolicOrbitError,
     IndexParityError,
+    RefinementError,
 )
-from .exactreal import ExactReal, floor_mult
+from .exactreal import ExactReal, floor_mult, floor_sum
 from .orbits import (
     ELLIPTIC,
     Generator,
@@ -118,7 +119,7 @@ def _coercivity(system: OrbitSystem) -> Fraction:
                     return min(dominance)
         bits *= 2
         if bits > 1 << 16:
-            raise AssertionError("coercivity refinement did not converge")
+            raise RefinementError("coercivity refinement did not converge")
 
 
 def _certified_box(system: OrbitSystem, i_max: int) -> int:
@@ -248,17 +249,16 @@ def triangle_lattice_count(phi1: ExactReal, m: Sequence[int]) -> int:
     m1, m2 = (int(v) for v in m)
     if m1 < 0 or m2 < 0:
         raise ValueError("corner point must sit in the closed quadrant")
-    total = m2 + 1  # column x = m1
-    for j in range(1, m1 + 1):  # columns x = m1 - j
-        total += m2 + floor_mult(phi1, j) + 1
-    j = 1
-    while True:  # columns x = m1 + j, while anything fits under the line
-        col = m2 - floor_mult(phi1, j)
-        if col <= 0:
-            break
-        total += col
-        j += 1
-    return total
+    # column x = m1 - j (j = 0..m1) holds m2 + floor(j phi1) + 1 points;
+    # column x = m1 + j (j = 1..right) holds m2 - floor(j phi1), where
+    # right = floor(m2 / phi1) is the last j with anything under the line
+    right = floor_mult(phi1.reciprocal(), m2) if m2 else 0
+    return (
+        (m1 + 1) * (m2 + 1)
+        + floor_sum(phi1, m1)
+        + right * m2
+        - floor_sum(phi1, right)
+    )
 
 
 def _ellipsoid_system(phi1: ExactReal) -> OrbitSystem:

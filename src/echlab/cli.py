@@ -24,8 +24,6 @@ from .exactreal import ExactReal, make_exact
 from .orbits import OrbitSystem, load_system, validate_system
 from .presets_io import (
     SYSTEM_PRESETS,
-    TORUS_PRESETS,
-    load_preset,
     load_system_preset,
     load_torus_preset,
     preset_names,
@@ -59,6 +57,22 @@ def parse_exact(text: str) -> ExactReal:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse exact real {text!r}") from exc
     return make_exact(frac)
+
+
+def _split_top_level(text: str) -> list[str]:
+    """Split at the commas outside braces and brackets, so that inline-JSON
+    exact reals stay whole."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "{[":
+            depth += 1
+        elif ch in "}]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 @dataclass
@@ -254,7 +268,7 @@ def _cmd_torus_map(config: RunConfig) -> int:
         tm = load_torus_preset(name)
     else:
         matrix = json.loads(config.strings["A"])
-        translation = [parse_exact(v) for v in config.strings["b"].split(",")]
+        translation = [parse_exact(v) for v in _split_top_level(config.strings["b"])]
         tm = lefschetz.AffineTorusMap.build(matrix, translation)
     p_max = int(config.numbers["pmax"])
     report = lefschetz.torus_orbit_report(tm, p_max)

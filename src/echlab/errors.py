@@ -35,3 +35,7 @@ class CensusBoundError(EchlabError):
 
 class UnknownPresetError(EchlabError):
     """Requested preset name is not shipped with the package."""
+
+
+class RefinementError(EchlabError):
+    """A certified refinement loop reached its precision cap without deciding."""

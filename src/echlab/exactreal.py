@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor as _floor_frac
 from math import gcd, isqrt
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import MixedFieldError
+from .errors import MixedFieldError, RefinementError
 
 RationalLike = Union[int, Fraction]
 
@@ -51,6 +51,30 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     else:
         f *= n
     return s, f
+
+
+def _reduce(p: int, q: int, r: int) -> tuple[int, int, int]:
+    """Lowest terms of (p + q*sqrt(d))/r with r > 0 (r != 0 on input)."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = gcd(gcd(p, q), r)
+    return p // g, q // g, r // g
+
+
+def _floor_state(p: int, q: int, r: int, d: int) -> int:
+    """floor((p + q*sqrt(d))/r) for r > 0; |q| sqrt(d) lies strictly in (t, t+1).
+    floor_mult inlines the same certificate, since the census prefix tables
+    call it once per multiple."""
+    if q == 0:
+        return p // r
+    t = isqrt(q * q * d)
+    return (p + t if q > 0 else p - t - 1) // r
+
+
+def _inverse_state(p: int, q: int, r: int, d: int) -> tuple[int, int, int]:
+    """Lowest terms of 1/x for nonzero x = (p + q*sqrt(d))/r: r (p - q sqrt(d))
+    over p^2 - q^2 d, which is nonzero since d is not a square."""
+    return _reduce(r * p, -r * q, p * p - q * q * d)
 
 
 def _sign_single_radical(a: int, b: int, d: int) -> int:
@@ -134,10 +158,14 @@ class ExactReal:
         q *= s
         if f == 1:
             return ExactReal.from_rational(p + q, r)
-        if r < 0:
-            p, q, r = -p, -q, -r
-        g = gcd(gcd(p, q), r)
-        return ExactReal(p // g, q // g, r // g, f)
+        return ExactReal._in_field(p, q, r, f)
+
+    @staticmethod
+    def _in_field(p: int, q: int, r: int, d: int) -> "ExactReal":
+        """(p + q*sqrt(d))/r for r != 0 and d already squarefree (d is ignored
+        when q == 0): only the sign of r and the common gcd are normalised."""
+        p, q, r = _reduce(p, q, r)
+        return ExactReal(p, q, r, d if q else 1)
 
     @staticmethod
     def from_json(obj: Mapping) -> "ExactReal":
@@ -208,7 +236,7 @@ class ExactReal:
         if self.q != 0 and o.q != 0 and self.d != o.d:
             raise MixedFieldError(f"cannot add sqrt({self.d}) and sqrt({o.d}) values")
         d = self.d if self.q != 0 else o.d
-        return ExactReal.from_quadratic(
+        return ExactReal._in_field(
             self.num * o.den + o.num * self.den,
             self.q * o.den + o.q * self.den,
             self.den * o.den,
@@ -233,7 +261,7 @@ class ExactReal:
         if self.q != 0 and o.q != 0 and self.d != o.d:
             raise MixedFieldError(f"cannot multiply sqrt({self.d}) and sqrt({o.d}) values")
         d = self.d if self.q != 0 else o.d
-        return ExactReal.from_quadratic(
+        return ExactReal._in_field(
             self.num * o.num + self.q * o.q * d,
             self.num * o.q + self.q * o.num,
             self.den * o.den,
@@ -245,11 +273,8 @@ class ExactReal:
     def reciprocal(self) -> "ExactReal":
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of zero")
-        if self.q == 0:
-            return ExactReal.from_rational(self.den, self.num)
-        # 1/x = r (p - q sqrt(d)) / (p^2 - q^2 d); nonzero since d is not a square
-        e = self.num * self.num - self.q * self.q * self.d
-        return ExactReal.from_quadratic(self.den * self.num, -self.den * self.q, e, self.d)
+        e = self.num * self.num - self.q * self.q * self.d  # nonzero: d is not a square
+        return ExactReal._in_field(self.den * self.num, -self.den * self.q, e, self.d)
 
     # -- exact order --------------------------------------------------------
 
@@ -347,6 +372,48 @@ def floor_mult(x: ExactReal, k: int) -> int:
     return m // x.den
 
 
+def floor_sum(x: ExactReal, n: int) -> int:
+    """sum_{k=1..n} floor(k*x) for n >= 0, in one step per continued-fraction
+    quotient of x.
+
+    For irrational x the floor a = floor(x) contributes a*n(n+1)/2, and the
+    Beatty reciprocity S(b, n) + S(1/b, floor(n b)) = n floor(n b) for the
+    fractional part 0 < b < 1 hands the rest to 1/b with the shorter length
+    floor(n b).  The state stays an integer triple; rationals use the
+    Euclid-style rational floor sum.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    p, q, r, d = x.num, x.q, x.den, x.d
+    if q == 0:
+        return _rational_floor_sum(p, r, n)
+    total, sign = 0, 1
+    while n:
+        a = _floor_state(p, q, r, d)
+        p -= a * r  # x -> its fractional part, in (0, 1)
+        below = _floor_state(n * p, n * q, r, d)
+        total += sign * (a * (n * (n + 1) // 2) + n * below)
+        sign, n = -sign, below
+        p, q, r = _inverse_state(p, q, r, d)
+    return total
+
+
+def _rational_floor_sum(a: int, b: int, n: int) -> int:
+    """sum_{k=1..n} floor(k*a/b) for b > 0: the sum over i = 0..n of
+    floor((a*i + c)/b) with c = 0, reduced Euclid-style."""
+    total, count, c = 0, n + 1, 0
+    while True:
+        t, a = divmod(a, b)
+        total += t * (count * (count - 1) // 2)
+        t, c = divmod(c, b)
+        total += t * count
+        top = a * count + c
+        if top < b:
+            return total
+        count, c = divmod(top, b)
+        a, b = b, a
+
+
 def ceil_mult(x: ExactReal, k: int) -> int:
     """ceil(k*x) for k >= 1."""
     if k < 1:
@@ -381,9 +448,10 @@ def continued_fraction(x: ExactReal, n: int) -> CFExpansion:
     if n < 1:
         raise ValueError("n must be >= 1")
     quotients: list[int] = []
-    seen: dict[ExactReal, int] = {}
-    state = x
-    while len(quotients) < n:
+    seen: dict[tuple[int, int, int], int] = {}
+    for state, a in _expansion(x):
+        if len(quotients) == n:
+            return CFExpansion(tuple(quotients))
         if state in seen:
             start = seen[state]
             block = tuple(quotients[start:])
@@ -391,13 +459,28 @@ def continued_fraction(x: ExactReal, n: int) -> CFExpansion:
                 quotients.append(block[(len(quotients) - start) % len(block)])
             return CFExpansion(tuple(quotients), False, start, block)
         seen[state] = len(quotients)
-        a = floor_mult(state, 1)
         quotients.append(a)
-        frac = state - a
-        if frac.is_zero():
-            return CFExpansion(tuple(quotients), True)
-        state = frac.reciprocal()
-    return CFExpansion(tuple(quotients))
+    return CFExpansion(tuple(quotients), True)
+
+
+def partial_quotients(x: ExactReal) -> Iterator[int]:
+    """The continued-fraction quotients of x, computed one at a time: finite
+    for a rational, endless for a quadratic irrational."""
+    return (a for _, a in _expansion(x))
+
+
+def _expansion(x: ExactReal) -> Iterator[tuple[tuple[int, int, int], int]]:
+    """(complete quotient (p, q, r) in lowest terms, its floor) at each step of
+    the continued-fraction expansion of x; ends when a complete quotient is
+    an integer."""
+    p, q, r, d = x.num, x.q, x.den, x.d
+    while True:
+        a = _floor_state(p, q, r, d)
+        yield (p, q, r), a
+        p -= a * r
+        if p == 0 and q == 0:
+            return
+        p, q, r = _inverse_state(p, q, r, d)
 
 
 def convergents(quotients: Sequence[int]) -> list[tuple[int, int]]:
@@ -442,4 +525,4 @@ def floor_radical_sum(rational: Fraction, radicals: Iterable[tuple[Fraction, int
         if f_lo == f_hi:
             return f_lo
         bits *= 2
-    raise AssertionError("radical sum refinement did not converge")
+    raise RefinementError("radical sum refinement did not converge")

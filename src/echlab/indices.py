@@ -27,12 +27,14 @@ from .errors import (
     IndexParityError,
     MixedFieldError,
     NotNullhomologousError,
+    RefinementError,
 )
 from .exactreal import (
     ExactReal,
     ceil_mult,
     floor_mult,
     floor_radical_sum,
+    floor_sum,
     multiple_is_integral,
 )
 from .orbits import Generator, OrbitSystem, is_valid_generator, nullhomologous_lattice
@@ -48,13 +50,10 @@ def conley_zehnder(theta: ExactReal, k: int) -> int:
     return 2 * floor_mult(theta, k) + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _floor_prefix(phi: ExactReal, m: int) -> int:
     """sum_{k=1..m} floor(k*phi); memoized since index formulas reuse it."""
-    total = 0
-    for k in range(1, m + 1):
-        total += floor_mult(phi, k)
-    return total
+    return floor_sum(phi, m)
 
 
 def _check_generator(system: OrbitSystem, m: Sequence[int]) -> Generator:
@@ -237,7 +236,7 @@ def _sign_phi_product_minus_square(a: ExactReal, b: ExactReal, c: int) -> int:
             if ahi * bhi < c:
                 return -1
             bits *= 2
-        raise AssertionError("product refinement did not converge")
+        raise RefinementError("product refinement did not converge")
 
 
 def index_envelope(system: OrbitSystem, m: Sequence[int]) -> tuple[int, int]:

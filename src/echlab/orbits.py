@@ -64,11 +64,6 @@ class OrbitSystem:
     def n(self) -> int:
         return len(self.orbits)
 
-    def linking_number(self, i: int, j: int) -> int:
-        if i == j:
-            raise ValueError("diagonal of the linking matrix is unused")
-        return self.linking[i][j]
-
     def all_elliptic(self) -> bool:
         return all(o.is_elliptic() for o in self.orbits)
 

@@ -3,84 +3,50 @@
 S(theta) collects the positive integers q at which ceil(q*theta)/q drops
 strictly below its value at every smaller denominator, i.e. theta is better
 approximated from above at q than at any q' < q.  The set only depends on
-theta mod 1.  Members are computed two independent ways: a linear scan of
-the defining condition with exact ceilings, and the upper semiconvergents
-of the continued-fraction expansion.
+theta mod 1.  Members are the denominators of the upper semiconvergents of
+the continued-fraction expansion, so membership, enumeration and densities
+take one step per partial quotient plus one per member reported.  For a
+rational theta = a/b the set is defined below b only, where the same
+construction answers; a question that reaches q >= b raises
+DegenerateAngleError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DegenerateAngleError
-from .exactreal import ExactReal, ceil_mult, continued_fraction, multiple_is_integral
+from .exactreal import ExactReal, partial_quotients
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
-def _ceil_checked(theta: ExactReal, q: int) -> int:
-    if multiple_is_integral(theta, q):
+def _upper_levels(theta: ExactReal, bound: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(p_prev, q_prev, p_cur, q_cur, a) at every odd level k of the expansion
+    of theta whose smallest mediant denominator q_{k-2} + q_{k-1} is <= bound.
+    The level's mediants (p_prev + j p_cur)/(q_prev + j q_cur), j = 1..a,
+    approach theta strictly from above.
+
+    A rational theta = a/b is answered for bound < b only.  Its last
+    convergent is a/b itself, so the walk stops before the finite expansion
+    runs out, and no mediant reached has denominator b.
+    """
+    if theta.is_rational() and bound >= theta.den:
         raise DegenerateAngleError(
-            f"{q}*theta is an integer; the approximation set is undefined there"
+            f"{theta.den}*theta is an integer; the approximation set is undefined there"
         )
-    return ceil_mult(theta, q)
-
-
-def _scan(theta: ExactReal, limit: int) -> Iterator[int]:
-    """Yield members of S(theta) up to limit, maintaining the running minimum
-    of ceil(q*theta)/q as an integer pair (no fraction normalization)."""
-    best_num, best_den = 0, 0  # empty minimum: q = 1 joins vacuously
-    for q in range(1, limit + 1):
-        c = _ceil_checked(theta, q)
-        if best_den == 0 or c * best_den < best_num * q:
-            yield q
-            best_num, best_den = c, q
-
-
-def in_s_theta(theta: ExactReal, q: int) -> bool:
-    """Exact membership test for a single denominator."""
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    member = False
-    for hit in _scan(theta, q):
-        member = hit == q
-    return member
-
-
-def s_theta_up_to(theta: ExactReal, bound: int) -> list[int]:
-    """All members of S(theta) in [1, bound], ascending."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    return list(_scan(theta, bound))
-
-
-def semiconvergents_above(theta: ExactReal, bound: int) -> list[Fraction]:
-    """The best upper approximations ceil(q*theta)/q for q in S(theta), built
-    from the continued fraction: at every odd level k the mediants
-    (p_{k-2} + j p_{k-1})/(q_{k-2} + j q_{k-1}), j = 1..a_k, approach theta
-    strictly from above.  Denominators reproduce s_theta_up_to."""
-    if theta.is_rational():
-        raise DegenerateAngleError("semiconvergents from above need an irrational angle")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    quotients = _Quotients(theta)
-    out: list[Fraction] = []
+    quotients = partial_quotients(theta)
     p_prev, q_prev = 1, 0  # convergent h_{k-2}, seeded at h_{-1}
-    p_cur, q_cur = quotients[0], 1  # convergent h_{k-1}, seeded at h_0
+    p_cur, q_cur = next(quotients), 1  # convergent h_{k-1}, seeded at h_0
     k = 1
     # mediant denominators grow strictly with k, so stop once the smallest
-    # denominator q_{k-2} + q_{k-1} of the current level passes the bound
+    # denominator of the current level passes the bound
     while q_prev + q_cur <= bound:
-        a = quotients[k]
+        a = next(quotients)
         if k % 2 == 1:
-            for j in range(1, a + 1):
-                den = q_prev + j * q_cur
-                if den > bound:
-                    break
-                out.append(Fraction(p_prev + j * p_cur, den))
+            yield p_prev, q_prev, p_cur, q_cur, a
         p_prev, q_prev, p_cur, q_cur = (
             p_cur,
             q_cur,
@@ -88,20 +54,45 @@ def semiconvergents_above(theta: ExactReal, bound: int) -> list[Fraction]:
             a * q_cur + q_prev,
         )
         k += 1
+
+
+def _members(theta: ExactReal, bound: int) -> Iterator[int]:
+    for _, q_prev, _, q_cur, a in _upper_levels(theta, bound):
+        yield from range(q_prev + q_cur, min(q_prev + a * q_cur, bound) + 1, q_cur)
+
+
+def in_s_theta(theta: ExactReal, q: int) -> bool:
+    """Exact membership test for a single denominator."""
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    for _, q_prev, _, q_cur, a in _upper_levels(theta, q):
+        j, rest = divmod(q - q_prev, q_cur)
+        if rest == 0 and 1 <= j <= a:
+            return True
+    return False
+
+
+def s_theta_up_to(theta: ExactReal, bound: int) -> list[int]:
+    """All members of S(theta) in [1, bound], ascending."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    return list(_members(theta, bound))
+
+
+def semiconvergents_above(theta: ExactReal, bound: int) -> list[Fraction]:
+    """The best upper approximations ceil(q*theta)/q for q in S(theta), built
+    from the continued fraction: at every odd level k the mediants
+    (p_{k-2} + j p_{k-1})/(q_{k-2} + j q_{k-1}), j = 1..a_k, approach theta
+    strictly from above."""
+    if theta.is_rational():
+        raise DegenerateAngleError("semiconvergents from above need an irrational angle")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    out: list[Fraction] = []
+    for p_prev, q_prev, p_cur, q_cur, a in _upper_levels(theta, bound):
+        for j in range(1, min(a, (bound - q_prev) // q_cur) + 1):
+            out.append(Fraction(p_prev + j * p_cur, q_prev + j * q_cur))
     return out
-
-
-class _Quotients:
-    """Lazy partial-quotient accessor; refetches with a doubled count on demand."""
-
-    def __init__(self, theta: ExactReal):
-        self._theta = theta
-        self._cached = continued_fraction(theta, 16).quotients
-
-    def __getitem__(self, k: int) -> int:
-        while k >= len(self._cached):
-            self._cached = continued_fraction(self._theta, 2 * len(self._cached)).quotients
-        return self._cached[k]
 
 
 def density_profile(
@@ -134,20 +125,3 @@ def admissible_end_multiplicity(theta: ExactReal, m: int, sign: str) -> bool:
     if sign == NEGATIVE:
         return in_s_theta(theta, m)
     raise ValueError(f"sign must be '{POSITIVE}' or '{NEGATIVE}'")
-
-
-@dataclass(frozen=True, slots=True)
-class SThetaProfile:
-    theta: ExactReal
-    bound: int
-    members: tuple[int, ...]
-    density_curve: tuple[tuple[int, Fraction], ...]
-
-
-def profile(theta: ExactReal, bound: int, samples: int = 10) -> SThetaProfile:
-    return SThetaProfile(
-        theta=theta,
-        bound=bound,
-        members=tuple(s_theta_up_to(theta, bound)),
-        density_curve=tuple(density_profile(theta, bound, samples)),
-    )

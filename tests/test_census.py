@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from echlab.census import (
+    _coercivity,
     ellipsoid_verify,
     enumerate_generators,
     fit_shell_lower_bound,
@@ -15,8 +16,13 @@ from echlab.census import (
     spectrum,
     triangle_lattice_count,
 )
-from echlab.errors import CensusBoundError, DegenerateAngleError, HyperbolicOrbitError
-from echlab.exactreal import floor_mult, make_exact
+from echlab.errors import (
+    CensusBoundError,
+    DegenerateAngleError,
+    HyperbolicOrbitError,
+    RefinementError,
+)
+from echlab.exactreal import ExactReal, floor_mult, make_exact
 from echlab.indices import ech_index
 from echlab.orbits import ELLIPTIC, Homology, Orbit, OrbitSystem, nullhomologous_lattice
 from echlab.presets_io import load_system_preset
@@ -97,6 +103,16 @@ def test_census_rejects_hyperbolic_systems():
         enumerate_generators(load_system_preset("eh-system"), 10)
 
 
+def test_coercivity_refinement_failure_is_typed():
+    # a bare non-squarefree radicand: phi = sqrt(4) = 2 on both orbits and
+    # Q12 = -2 make the form degenerate, which no enclosure can certify
+    two = ExactReal(0, 1, 1, 4)
+    orbits = tuple(Orbit(name, ELLIPTIC, eta=Fraction(1), phi=two) for name in "ab")
+    system = OrbitSystem(orbits, ((0, -2), (-2, 0)), Homology())
+    with pytest.raises(RefinementError):
+        _coercivity(system)
+
+
 def test_census_completeness_against_brute_force():
     for name in ALL_ELLIPTIC_PRESETS:
         system = load_system_preset(name)
@@ -151,8 +167,8 @@ def test_triangle_lattice_count_examples():
 
 
 def test_triangle_lattice_count_brute_force():
-    for phi1 in (SQRT2, GOLDEN):
-        for m1, m2 in product(range(6), repeat=2):
+    for phi1 in (SQRT2, GOLDEN, make_exact((0, 1, 2, 2)), make_exact((-1, 1, 1, 2))):
+        for m1, m2 in product(range(9), repeat=2):
             count = triangle_lattice_count(phi1, (m1, m2))
             # phi1*x + y <= phi1*m1 + m2 via exact rearrangement
             brute = 0

@@ -99,6 +99,35 @@ def test_torus_map_inline(capsys):
     assert payload["periods"][0]["count"] == 1
 
 
+def test_torus_map_inline_json_translation(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "torus-map",
+        "--A",
+        "[[1,1],[0,1]]",
+        "--b",
+        '{"kind":"quadratic","p":1,"q":1,"r":2,"d":5},0',
+        "--pmax",
+        "3",
+    )
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["b"] == [
+        {"kind": "quadratic", "p": 1, "q": 1, "r": 2, "d": 5},
+        {"kind": "rational", "num": 0, "den": 1},
+    ]
+
+
+def test_index_at_huge_multiplicities(capsys):
+    code, out, _ = run_cli(
+        capsys, "index", "--preset", "ellipsoid-sqrt2", "--m", "1000000000000,1000000000000"
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    lo, hi = payload["envelope"]
+    assert lo <= payload["I"] <= hi
+
+
 def test_stheta_members_csv(capsys):
     code, out, _ = run_cli(capsys, "stheta", "--theta", "sqrt2m1", "--max", "12")
     assert code == EXIT_OK

@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echlab.errors import MixedFieldError
+from echlab.errors import EchlabError, MixedFieldError, RefinementError
 from echlab.exactreal import (
     ExactReal,
     ceil_mult,
@@ -16,6 +16,7 @@ from echlab.exactreal import (
     convergents,
     floor_mult,
     floor_radical_sum,
+    floor_sum,
     make_exact,
     multiple_is_integral,
 )
@@ -114,6 +115,32 @@ def test_floor_rejects_nonpositive_k():
 def test_ceil_is_floor_plus_one_for_irrationals():
     assert ceil_mult(SQRT2, 2) == floor_mult(SQRT2, 2) + 1
     assert ceil_mult(make_exact(3), 2) == 6
+
+
+def test_floor_sum_examples():
+    assert floor_sum(SQRT2, 0) == 0
+    assert floor_sum(SQRT2, 3) == 1 + 2 + 4
+    assert floor_sum(make_exact((-7, 3)), 2) == -3 - 5
+    with pytest.raises(ValueError):
+        floor_sum(SQRT2, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        rationals(),
+        st.builds(
+            ExactReal.from_quadratic,
+            st.integers(-60, 60),
+            st.integers(-40, 40).filter(lambda q: q != 0),
+            st.integers(-30, 30).filter(lambda r: r != 0),
+            st.integers(2, 10**6),
+        ),
+    ),
+    st.integers(0, 400),
+)
+def test_floor_sum_matches_termwise_floors(x, n):
+    assert floor_sum(x, n) == sum(floor_mult(x, k) for k in range(1, n + 1))
 
 
 @settings(max_examples=200)
@@ -226,6 +253,14 @@ def test_floor_radical_sum_examples():
     assert val == 5
     # cancellation back to a rational
     assert floor_radical_sum(Fraction(7, 2), [(Fraction(1), 2), (Fraction(-1), 2)]) == 3
+
+
+def test_floor_radical_sum_refinement_failure_is_typed():
+    # sqrt(4) breaks the squarefree precondition: 2 - sqrt(4) is exactly 0,
+    # so no enclosure ever has one floor
+    assert issubclass(RefinementError, EchlabError)
+    with pytest.raises(RefinementError):
+        floor_radical_sum(Fraction(2), [(Fraction(-1), 4)])
 
 
 @settings(max_examples=80)

@@ -15,14 +15,16 @@ from echlab.errors import (
     IndexParityError,
     MixedFieldError,
     NotNullhomologousError,
+    RefinementError,
 )
-from echlab.exactreal import make_exact
+from echlab.exactreal import ExactReal, make_exact
 from echlab.indices import (
     CYLINDER,
     INFEASIBLE,
     NOT_CYLINDER,
     End,
     EndData,
+    _sign_phi_product_minus_square,
     conley_zehnder,
     cylinder_criterion,
     ech_index,
@@ -208,6 +210,13 @@ def test_quadrant_degenerate_direction():
     q12 = system.linking[0][1]
     assert (phi1 * v1 + q12 * v2).is_zero()
     assert (q12 * v1 + phi2 * v2).is_zero()
+
+
+def test_product_refinement_failure_is_typed():
+    # bare non-squarefree radicands: sqrt(4) * sqrt(9) is exactly 6 across
+    # two "fields", so the mixed-field refinement can never decide
+    with pytest.raises(RefinementError):
+        _sign_phi_product_minus_square(ExactReal(0, 1, 1, 4), ExactReal(0, 1, 1, 9), 6)
 
 
 def test_quadrant_positive_implies_positive_values():

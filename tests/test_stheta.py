@@ -1,5 +1,5 @@
-"""Approximation sets: definition scan, semiconvergent route, density,
-difference law, and end-multiplicity admissibility."""
+"""Approximation sets: the semiconvergent route against a linear scan of the
+definition, density, difference law, and end-multiplicity admissibility."""
 
 from fractions import Fraction
 
@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echlab.errors import DegenerateAngleError
-from echlab.exactreal import ExactReal, ceil_mult, make_exact
+from echlab.exactreal import ExactReal, ceil_mult, make_exact, multiple_is_integral
 from echlab.stheta import (
     admissible_end_multiplicity,
     density_profile,
     in_s_theta,
-    profile,
     s_theta_up_to,
     semiconvergents_above,
 )
@@ -36,9 +35,29 @@ def quadratics():
     )
 
 
+def rational_angles():
+    return st.builds(make_exact, st.tuples(st.integers(-300, 300), st.integers(2, 300)))
+
+
+def scan_members(theta, limit):
+    """Linear scan of the defining condition, keeping the running minimum of
+    ceil(q*theta)/q as an integer pair; raises DegenerateAngleError at the
+    first q with q*theta an integer, where the set is undefined."""
+    members = []
+    best_num, best_den = 0, 0  # empty minimum: q = 1 joins vacuously
+    for q in range(1, limit + 1):
+        if multiple_is_integral(theta, q):
+            raise DegenerateAngleError(f"{q}*theta is an integer")
+        c = ceil_mult(theta, q)
+        if best_den == 0 or c * best_den < best_num * q:
+            members.append(q)
+            best_num, best_den = c, q
+    return members
+
+
 def brute_members(theta, bound):
     """Definition scan, one full re-check per q (independent of the running
-    minimum the production code uses)."""
+    minimum scan_members keeps)."""
     members = []
     for q in range(1, bound + 1):
         ok = all(
@@ -78,7 +97,7 @@ def test_semiconvergents_examples():
 
 def test_semiconvergents_are_the_exact_upper_records():
     for theta in (SQRT2M1, GOLDEN, SQRT3):
-        members = s_theta_up_to(theta, 1500)
+        members = scan_members(theta, 1500)
         fracs = semiconvergents_above(theta, 1500)
         assert [f.denominator for f in fracs] == members
         for f, q in zip(fracs, members):
@@ -89,8 +108,23 @@ def test_semiconvergents_are_the_exact_upper_records():
 @settings(max_examples=40, deadline=None)
 @given(quadratics())
 def test_dual_route_agreement_random(theta):
-    members = s_theta_up_to(theta, 600)
+    members = scan_members(theta, 600)
     assert [f.denominator for f in semiconvergents_above(theta, 600)] == members
+    assert s_theta_up_to(theta, 600) == members
+    assert [q for q in range(1, 120) if in_s_theta(theta, q)] == [
+        q for q in members if q < 120
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_angles())
+def test_rational_theta_matches_scan_below_denominator(theta):
+    members = scan_members(theta, theta.den - 1)
+    assert [q for q in range(1, theta.den) if in_s_theta(theta, q)] == members
+    if members:
+        assert s_theta_up_to(theta, theta.den - 1) == members
+    with pytest.raises(DegenerateAngleError):
+        in_s_theta(theta, theta.den)
 
 
 def test_density_examples():
@@ -104,8 +138,15 @@ def test_density_examples():
 def test_rational_theta_rejected_beyond_denominator():
     third = make_exact((1, 3))
     assert s_theta_up_to(third, 2) == [1, 2]
+    assert in_s_theta(third, 2)
+    assert in_s_theta(make_exact((5, 7)), 4)
+    assert not in_s_theta(make_exact((5, 7)), 5)
     with pytest.raises(DegenerateAngleError):
         s_theta_up_to(third, 3)
+    with pytest.raises(DegenerateAngleError):
+        in_s_theta(third, 3)
+    with pytest.raises(DegenerateAngleError):
+        density_profile(third, 6, [2])
 
 
 def test_difference_law_and_monotone_gaps():
@@ -144,10 +185,3 @@ def test_admissibility_mirrors_membership():
         assert admissible_end_multiplicity(SQRT2M1, m, "positive") == in_s_theta(
             TWO_MINUS_SQRT2, m
         )
-
-
-def test_profile_bundle():
-    prof = profile(SQRT2M1, 100, samples=4)
-    assert prof.members[0] == 1
-    assert prof.members == tuple(s_theta_up_to(SQRT2M1, 100))
-    assert prof.density_curve[-1][0] == 100
