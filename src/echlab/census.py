@@ -33,7 +33,7 @@ from .orbits import (
     OrbitSystem,
     nullhomologous_lattice,
 )
-from .indices import qbar_quadrant_positive
+from .indices import doubled_eta, index_formula, qbar_quadrant_positive
 
 _BOUND_BITS = 32
 
@@ -172,28 +172,14 @@ def enumerate_generators(
             raise ValueError("box must give a nonnegative bound per orbit")
         recorded_box = tuple(limits)
 
-    two_eta = []
-    for orbit in system.orbits:
-        doubled = 2 * orbit.eta
-        if doubled.denominator != 1:
-            raise ValueError(f"orbit {orbit.name}: eta must lie in (1/2)Z")
-        two_eta.append(doubled.numerator)
+    two_eta = [doubled_eta(o) for o in system.orbits]
     tables = [floor_prefix_table(o.phi, limits[i]) for i, o in enumerate(system.orbits)]
-    linking = system.linking
 
     entries: list[tuple[Generator, int]] = []
     for m in product(*(range(b + 1) for b in limits)):
         if not lattice.contains(m):
             continue
-        value = 0
-        for i in range(n):
-            mi = m[i]
-            if mi == 0:
-                continue
-            value += mi * two_eta[i] + 2 * tables[i][mi]
-            for j in range(i + 1, n):
-                if m[j]:
-                    value += 2 * mi * m[j] * linking[i][j]
+        value = index_formula(system, m, two_eta, tables)
         if value > i_max:
             continue
         if value % 2:
@@ -249,10 +235,15 @@ def triangle_lattice_count(phi1: ExactReal, m: Sequence[int]) -> int:
     m1, m2 = (int(v) for v in m)
     if m1 < 0 or m2 < 0:
         raise ValueError("corner point must sit in the closed quadrant")
+    return _triangle_count(phi1, phi1.reciprocal(), m1, m2)
+
+
+def _triangle_count(phi1: ExactReal, inverse: ExactReal, m1: int, m2: int) -> int:
+    """triangle_lattice_count for a checked slope, with inverse = 1/phi1."""
     # column x = m1 - j (j = 0..m1) holds m2 + floor(j phi1) + 1 points;
     # column x = m1 + j (j = 1..right) holds m2 - floor(j phi1), where
     # right = floor(m2 / phi1) is the last j with anything under the line
-    right = floor_mult(phi1.reciprocal(), m2) if m2 else 0
+    right = floor_mult(inverse, m2) if m2 else 0
     return (
         (m1 + 1) * (m2 + 1)
         + floor_sum(phi1, m1)
@@ -287,6 +278,7 @@ def ellipsoid_verify(phi1: ExactReal, i_max: int) -> EllipsoidVerification:
     if phi1.sign() <= 0:
         raise ValueError("slope parameter must be positive")
     system = _ellipsoid_system(phi1)
+    phi2 = system.orbits[1].phi  # 1/phi1, built once for the system
     census = enumerate_generators(system, i_max)
     seen: dict[int, Generator] = {}
     for m, value in census.entries:
@@ -296,7 +288,7 @@ def ellipsoid_verify(phi1: ExactReal, i_max: int) -> EllipsoidVerification:
                 i_max, len(census.entries),
             )
         seen[value] = m
-        expected = 2 * (triangle_lattice_count(phi1, m) - 1)
+        expected = 2 * (_triangle_count(phi1, phi2, *m) - 1)
         if value != expected:
             return EllipsoidVerification(
                 False,
@@ -325,24 +317,17 @@ def min_index_on_shells(
         return out
     r_max = radii[-1]
     lattice = nullhomologous_lattice(system)
-    n = system.n
-    two_eta = [(2 * o.eta).numerator for o in system.orbits]
+    two_eta = [doubled_eta(o) for o in system.orbits]
     tables = [floor_prefix_table(o.phi, r_max) for o in system.orbits]
     best: dict[int, int] = {}
-    for m in product(range(r_max + 1), repeat=n):
+    for m in product(range(r_max + 1), repeat=system.n):
         norm_sq = sum(v * v for v in m)
         if norm_sq > r_max * r_max or not lattice.contains(m):
             continue
         radius = isqrt(norm_sq)
         if radius * radius < norm_sq:
             radius += 1  # ceil of the Euclidean norm
-        value = 0
-        for i in range(n):
-            if m[i]:
-                value += m[i] * two_eta[i] + 2 * tables[i][m[i]]
-                for j in range(i + 1, n):
-                    if m[j]:
-                        value += 2 * m[i] * m[j] * system.linking[i][j]
+        value = index_formula(system, m, two_eta, tables)
         if radius not in best or value < best[radius]:
             best[radius] = value
     for r in radii:

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,36 +74,22 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
-@dataclass
-class RunConfig:
-    """One resolved invocation: the command, its inputs, where and how to
-    write, the numeric knobs, and the seed for any randomized suite."""
-
-    command: str
-    input_paths: tuple[str, ...] = ()
-    output_path: str | None = None
-    fmt: str = "json"
-    numbers: dict = field(default_factory=dict)
-    strings: dict = field(default_factory=dict)
-    seed: int = 0
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        Path(config.output_path).write_text(text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    out = getattr(args, "out", None)  # preset-list takes no --out
+    if out:
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
 
 
-def _load_system_arg(config: RunConfig) -> OrbitSystem:
-    name = config.strings.get("preset")
-    if name:
-        return load_system_preset(name)
-    if not config.input_paths:
+def _load_system_arg(args: argparse.Namespace) -> OrbitSystem:
+    if args.preset:
+        return load_system_preset(args.preset)
+    if not args.system:
         raise ValueError("a --system file or --preset name is required")
-    system = load_system(config.input_paths[0])
+    system = load_system(args.system)
     report = validate_system(system)
     if not report.ok:
         raise ValueError("invalid system: " + "; ".join(report.violations))
@@ -119,30 +104,29 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _cmd_index(config: RunConfig) -> int:
-    system = _load_system_arg(config)
-    m = tuple(int(v) for v in config.strings["m"].split(","))
+def _cmd_index(args: argparse.Namespace) -> int:
+    system = _load_system_arg(args)
+    m = tuple(int(v) for v in args.m.split(","))
     report = indices.index_report(system, m)
-    _emit(config, json.dumps({"m": list(m), **report.to_json()}, indent=2))
+    _emit(args, json.dumps({"m": list(m), **report.to_json()}, indent=2))
     return EXIT_OK
 
 
-def _cmd_census(config: RunConfig) -> int:
-    system = _load_system_arg(config)
-    i_max = int(config.numbers["imax"])
-    box = config.strings.get("box")
-    box_values = tuple(int(v) for v in box.split(",")) if box else None
-    result = census_mod.enumerate_generators(system, i_max, box_values)
-    if config.fmt == "csv":
-        n = system.n
-        header = [f"m_{i + 1}" for i in range(n)] + ["I", "J0", "mod2"]
-        rows = []
-        for m, value in result.entries:
-            rows.append(
-                list(m)
-                + [value, indices.j0_index(system, m), indices.mod2_grading(system, m)]
-            )
-        _emit(config, _csv_text(header, rows))
+def _cmd_census(args: argparse.Namespace) -> int:
+    system = _load_system_arg(args)
+    box = tuple(int(v) for v in args.box.split(",")) if args.box else None
+    result = census_mod.enumerate_generators(system, args.imax, box)
+    if args.format == "csv":
+        header = [f"m_{i + 1}" for i in range(system.n)] + ["I", "J0", "mod2"]
+        # the entries are checked generators of an all-elliptic system, so
+        # J0 = I - (I - J0) by the closed form, and mod2, which counts
+        # positive-hyperbolic orbits, is 0
+        two_eta = [indices.doubled_eta(o) for o in system.orbits]
+        rows = [
+            list(m) + [value, value - indices.index_residual(system, m, two_eta), 0]
+            for m, value in result.entries
+        ]
+        _emit(args, _csv_text(header, rows))
     else:
         payload = {
             "imax": result.cutoff,
@@ -151,28 +135,27 @@ def _cmd_census(config: RunConfig) -> int:
             "complete": result.box is None,
             "entries": [{"m": list(m), "I": value} for m, value in result.entries],
         }
-        _emit(config, json.dumps(payload, indent=2))
+        _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
 
-def _cmd_ellipsoid_verify(config: RunConfig) -> int:
-    phi1 = parse_exact(config.strings["phi1"])
-    i_max = int(config.numbers["imax"])
-    outcome = census_mod.ellipsoid_verify(phi1, i_max)
+def _cmd_ellipsoid_verify(args: argparse.Namespace) -> int:
+    phi1 = parse_exact(args.phi1)
+    outcome = census_mod.ellipsoid_verify(phi1, args.imax)
     payload = {
         "phi1": phi1.to_json(),
-        "imax": i_max,
+        "imax": args.imax,
         "passed": outcome.passed,
         "generators": outcome.generator_count,
         "first_discrepancy": outcome.first_discrepancy,
     }
-    _emit(config, json.dumps(payload, indent=2))
+    _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK if outcome.passed else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_growth(config: RunConfig) -> int:
-    system = _load_system_arg(config)
-    samples_text = config.strings["samples"]
+def _cmd_growth(args: argparse.Namespace) -> int:
+    system = _load_system_arg(args)
+    samples_text = args.samples
     if ":" in samples_text:
         count, lo, hi = (int(v) for v in samples_text.split(":"))
         ks = sorted(
@@ -187,50 +170,42 @@ def _cmd_growth(config: RunConfig) -> int:
         "exponent": fit.exponent,
         "max_residual": fit.max_residual,
     }
-    _emit(config, json.dumps(payload, indent=2))
+    _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
 
-def _cmd_stheta(config: RunConfig) -> int:
-    theta = parse_exact(config.strings["theta"])
-    bound = int(config.numbers["max"])
-    emit = config.strings.get("emit", "members")
+def _cmd_stheta(args: argparse.Namespace) -> int:
+    theta = parse_exact(args.theta)
+    bound = args.max
+    emit = args.emit
     if emit == "members":
         rows = [[q] for q in stheta.s_theta_up_to(theta, bound)]
-        _emit(config, _csv_text(["q"], rows))
+        _emit(args, _csv_text(["q"], rows))
     elif emit == "densities":
-        samples = int(config.numbers.get("samples", 10))
         rows = [
             [n, f"{dens.numerator}/{dens.denominator}", float(dens)]
-            for n, dens in stheta.density_profile(theta, bound, samples)
+            for n, dens in stheta.density_profile(theta, bound, args.samples)
         ]
-        _emit(config, _csv_text(["n", "density_exact", "density"], rows))
+        _emit(args, _csv_text(["n", "density_exact", "density"], rows))
     elif emit == "semiconvergents":
         rows = [
             [frac.denominator, frac.numerator, f"{frac.numerator}/{frac.denominator}"]
             for frac in stheta.semiconvergents_above(theta, bound)
         ]
-        _emit(config, _csv_text(["q", "ceil_q_theta", "fraction"], rows))
+        _emit(args, _csv_text(["q", "ceil_q_theta", "fraction"], rows))
     else:
         raise ValueError(f"unknown emission {emit!r}")
     return EXIT_OK
 
 
-def _cmd_zeta_check(config: RunConfig) -> int:
-    genus = int(config.numbers["genus"])
-    matrix = json.loads(config.strings.get("matrix") or "[]")
-    periods = (
-        tuple(int(v) for v in config.strings["periods"].split(","))
-        if config.strings.get("periods")
-        else ()
-    )
+def _cmd_zeta_check(args: argparse.Namespace) -> int:
+    genus = args.genus
+    matrix = json.loads(args.matrix or "[]")
+    periods = tuple(int(v) for v in args.periods.split(",")) if args.periods else ()
     instance = lefschetz.ZetaInstance(
         genus, tuple(tuple(int(v) for v in row) for row in matrix), periods
     )
-    degree = int(
-        config.numbers.get("degree")
-        or max(2, sum(instance.periods), 2 * instance.genus)
-    )
+    degree = args.degree or max(2, sum(instance.periods), 2 * instance.genus)
     outcome = lefschetz.zeta_identity_check(instance, degree)
     payload = {
         "genus": genus,
@@ -239,16 +214,12 @@ def _cmd_zeta_check(config: RunConfig) -> int:
         "first_failing_power": outcome.first_failing_power,
         "detail": outcome.detail,
     }
-    _emit(config, json.dumps(payload, indent=2))
+    _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK if outcome.passed else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_zeta_solve(config: RunConfig) -> int:
-    solutions = lefschetz.zeta_solve(
-        int(config.numbers["gmax"]),
-        int(config.numbers["psum"]),
-        int(config.numbers.get("trace_bound", 5)),
-    )
+def _cmd_zeta_solve(args: argparse.Namespace) -> int:
+    solutions = lefschetz.zeta_solve(args.gmax, args.psum, args.trace_bound)
     payload = [
         {
             "genus": s.genus,
@@ -258,19 +229,21 @@ def _cmd_zeta_solve(config: RunConfig) -> int:
         }
         for s in solutions
     ]
-    _emit(config, json.dumps(payload, indent=2))
+    _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
 
-def _cmd_torus_map(config: RunConfig) -> int:
-    name = config.strings.get("preset")
-    if name:
-        tm = load_torus_preset(name)
+def _cmd_torus_map(args: argparse.Namespace) -> int:
+    if args.preset:
+        tm = load_torus_preset(args.preset)
     else:
-        matrix = json.loads(config.strings["A"])
-        translation = [parse_exact(v) for v in _split_top_level(config.strings["b"])]
+        # without --preset, --A and --b are required; a missing one is
+        # reported by name, as a KeyError
+        given = {k: v for k, v in vars(args).items() if v is not None}
+        matrix = json.loads(given["A"])
+        translation = [parse_exact(v) for v in _split_top_level(given["b"])]
         tm = lefschetz.AffineTorusMap.build(matrix, translation)
-    p_max = int(config.numbers["pmax"])
+    p_max = args.pmax
     report = lefschetz.torus_orbit_report(tm, p_max)
     payload = {
         "A": [list(r) for r in tm.matrix],
@@ -282,16 +255,16 @@ def _cmd_torus_map(config: RunConfig) -> int:
             {"p": p, "kind": r.kind, "count": r.count} for p, r in report.rows
         ],
     }
-    _emit(config, json.dumps(payload, indent=2))
+    _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
 
-def _cmd_preset_list(config: RunConfig) -> int:
+def _cmd_preset_list(args: argparse.Namespace) -> int:
     payload = [
         {"name": n, "kind": "orbit-system" if n in SYSTEM_PRESETS else "torus-map"}
         for n in preset_names()
     ]
-    _emit(config, json.dumps(payload, indent=2))
+    _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
 
@@ -377,44 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    strings = {}
-    numbers = {}
-    for key, value in vars(args).items():
-        if key in ("command", "seed", "out", "system", "format"):
-            continue
-        if value is None:
-            continue
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            numbers[key] = value
-        else:
-            strings[key] = value
-    return RunConfig(
-        command=args.command,
-        input_paths=(args.system,) if getattr(args, "system", None) else (),
-        output_path=getattr(args, "out", None),
-        fmt=getattr(args, "format", "json"),
-        numbers=numbers,
-        strings=strings,
-        seed=args.seed,
-    )
-
-
-def run(config: RunConfig) -> int:
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        return handler(config)
+        return _HANDLERS[args.command](args)
     except (EchlabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
 
 
 if __name__ == "__main__":

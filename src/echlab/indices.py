@@ -11,7 +11,8 @@ For an all-elliptic nullhomologous generator m over orbits with constants
 together with the closed-form difference I - J0, the mod-2 grading, the
 quadratic form approximating I, an exact integer envelope for I, and the
 per-curve bounds (intersection bound, genus budget, cylinder criterion).
-Everything is computed in exact integer arithmetic.
+Everything is computed in exact integer arithmetic.  I is evaluated by
+index_formula alone, and J0 as I minus the closed-form difference.
 """
 
 from __future__ import annotations
@@ -56,47 +57,69 @@ def _floor_prefix(phi: ExactReal, m: int) -> int:
     return floor_sum(phi, m)
 
 
-def _check_generator(system: OrbitSystem, m: Sequence[int]) -> Generator:
+def doubled_eta(orbit) -> int:
+    """2*eta as an integer; eta must lie in (1/2)Z."""
+    eta = orbit.eta  # in lowest terms, so 2*eta is integral iff den is 1 or 2
+    if eta.denominator > 2:
+        raise ValueError(f"orbit {orbit.name}: eta must lie in (1/2)Z")
+    return 2 * eta.numerator // eta.denominator
+
+
+def index_formula(
+    system: OrbitSystem, m: Sequence[int], two_eta: Sequence[int], prefixes: Sequence
+) -> int:
+    """sum m_i 2eta_i + 2 sum F_i(m_i) + 2 sum_{i<j} m_i m_j Q_ij over the
+    nonzero m_i, where prefixes[i][k] = F_i(k) = sum_{j=1..k} floor(j phi_i)
+    and two_eta[i] = doubled_eta(orbit i).  Nothing is checked here: callers
+    pass a validated generator."""
+    linking = system.linking
+    n = len(m)
+    total = 0
+    for i in range(n):
+        mi = m[i]
+        if mi:
+            total += mi * two_eta[i] + 2 * prefixes[i][mi]
+            row = linking[i]
+            for j in range(i + 1, n):
+                if m[j]:
+                    total += 2 * mi * m[j] * row[j]
+    return total
+
+
+def index_residual(system: OrbitSystem, m: Sequence[int], two_eta: Sequence[int]) -> int:
+    """Closed form for I - J0 on a validated generator:
+    sum m_i(4 eta_i - 2) + 2 sum floor(m_i phi_i) + #nonzero."""
+    total = 0
+    for orbit, mult, doubled in zip(system.orbits, m, two_eta):
+        if mult:
+            total += mult * (2 * doubled - 2) + 2 * floor_mult(orbit.phi, mult) + 1
+    return total
+
+
+def _check_generator(system: OrbitSystem, m: Sequence[int]) -> tuple[Generator, list[int]]:
+    """The generator as a tuple, with 2*eta per orbit (0 where m_i = 0)."""
     m = tuple(int(v) for v in m)
     if not is_valid_generator(system, m):
         raise ValueError(f"invalid generator multiplicities {m}")
+    two_eta = []
     for orbit, mult in zip(system.orbits, m):
         if mult > 0 and not orbit.is_elliptic():
             raise HyperbolicOrbitError(
                 f"orbit {orbit.name} is hyperbolic; index formulas need elliptic orbits"
             )
+        two_eta.append(doubled_eta(orbit) if mult else 0)
     if not nullhomologous_lattice(system).contains(m):
         raise NotNullhomologousError(f"generator {m} is not nullhomologous")
-    return m
+    return m, two_eta
 
 
-def _cross_linking(system: OrbitSystem, m: Sequence[int]) -> int:
-    total = 0
-    for i in range(system.n):
-        if m[i] == 0:
-            continue
-        for j in range(i + 1, system.n):
-            if m[j]:
-                total += m[i] * m[j] * system.linking[i][j]
-    return total
-
-
-def _two_eta(orbit) -> int:
-    doubled = 2 * orbit.eta
-    if doubled.denominator != 1:
-        raise ValueError(f"orbit {orbit.name}: eta must lie in (1/2)Z")
-    return doubled.numerator
-
-
-def ech_index(system: OrbitSystem, m: Sequence[int]) -> int:
-    """Absolute ECH index; an even integer, with I(empty) = 0."""
-    m = _check_generator(system, m)
-    total = 0  # 2 * (I/2), kept integral throughout
-    for orbit, mult in zip(system.orbits, m):
-        if mult == 0:
-            continue
-        total += mult * _two_eta(orbit) + 2 * _floor_prefix(orbit.phi, mult)
-    total += 2 * _cross_linking(system, m)
+def _index(system: OrbitSystem, m: Generator, two_eta: list[int]) -> int:
+    """I on a checked generator; an odd value means inconsistent eta."""
+    prefixes = [
+        {mult: _floor_prefix(orbit.phi, mult)} if mult else None
+        for orbit, mult in zip(system.orbits, m)
+    ]
+    total = index_formula(system, m, two_eta, prefixes)
     if total % 2:
         raise IndexParityError(
             f"index {total} is odd for all-elliptic generator {m}; eta inputs inconsistent"
@@ -104,29 +127,20 @@ def ech_index(system: OrbitSystem, m: Sequence[int]) -> int:
     return total
 
 
+def ech_index(system: OrbitSystem, m: Sequence[int]) -> int:
+    """Absolute ECH index; an even integer, with I(empty) = 0."""
+    return _index(system, *_check_generator(system, m))
+
+
 def j0_index(system: OrbitSystem, m: Sequence[int]) -> int:
-    """Absolute J0 index, with J0(empty) = 0."""
-    m = _check_generator(system, m)
-    twice = 0
-    nonzero = 0
-    for orbit, mult in zip(system.orbits, m):
-        if mult == 0:
-            continue
-        nonzero += 1
-        twice += mult * (2 - _two_eta(orbit)) + 2 * _floor_prefix(orbit.phi, mult - 1)
-    twice += 2 * _cross_linking(system, m)
-    return twice - nonzero
+    """Absolute J0 index, with J0(empty) = 0, as I minus the closed form I - J0."""
+    m, two_eta = _check_generator(system, m)
+    return _index(system, m, two_eta) - index_residual(system, m, two_eta)
 
 
 def index_identity_residual(system: OrbitSystem, m: Sequence[int]) -> int:
     """Closed form for I - J0: sum m_i(4 eta_i - 2) + 2 sum floor(m_i phi_i) + #nonzero."""
-    m = _check_generator(system, m)
-    total = 0
-    for orbit, mult in zip(system.orbits, m):
-        if mult == 0:
-            continue
-        total += mult * (2 * _two_eta(orbit) - 2) + 2 * floor_mult(orbit.phi, mult) + 1
-    return total
+    return index_residual(system, *_check_generator(system, m))
 
 
 def mod2_grading(system: OrbitSystem, m: Sequence[int]) -> int:
@@ -246,17 +260,20 @@ def index_envelope(system: OrbitSystem, m: Sequence[int]) -> tuple[int, int]:
     2S - 2|m| < I <= 2S with S the formula's floor-free evaluation; the
     bounds are rounded outward with a certified multi-radical floor.
     """
-    m = _check_generator(system, m)
+    return _envelope(system, *_check_generator(system, m))
+
+
+def _envelope(system: OrbitSystem, m: Generator, two_eta: list[int]) -> tuple[int, int]:
     total_mult = sum(m)
     if total_mult == 0:
         return (0, 0)
-    integer_part = 2 * _cross_linking(system, m)
+    # the formula with every floor prefix F_i(m_i) read as 0
+    integer_part = index_formula(system, m, two_eta, [{mult: 0} for mult in m])
     rational_part = Fraction(0)
     radicals: list[tuple[Fraction, int]] = []
     for orbit, mult in zip(system.orbits, m):
         if mult == 0:
             continue
-        integer_part += mult * _two_eta(orbit)
         rat, coeff, d = orbit.phi.decompose()
         weight = mult * (mult + 1)
         rational_part += rat * weight
@@ -289,18 +306,18 @@ class IndexReport:
 
 def index_report(system: OrbitSystem, m: Sequence[int]) -> IndexReport:
     """Full report; qbar is omitted (None) when phis span mixed fields."""
-    value_i = ech_index(system, m)
-    value_j0 = j0_index(system, m)
+    m, two_eta = _check_generator(system, m)
+    value_i = _index(system, m, two_eta)
     try:
         q = qbar(system, m)
     except MixedFieldError:
         q = None
     return IndexReport(
         I=value_i,
-        J0=value_j0,
-        mod2=mod2_grading(system, m),
+        J0=value_i - index_residual(system, m, two_eta),
+        mod2=0,  # every orbit a checked generator covers is elliptic
         qbar=q,
-        envelope=index_envelope(system, m),
+        envelope=_envelope(system, m, two_eta),
     )
 
 

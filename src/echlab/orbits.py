@@ -154,7 +154,7 @@ class NullLattice:
         return all(v == 0 for v in residual)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def nullhomologous_lattice(system: OrbitSystem) -> NullLattice:
     """Solve sum_i m_i [gamma_i] = 0 in H1 over the integers.
 

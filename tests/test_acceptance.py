@@ -39,6 +39,7 @@ from echlab.orbits import nullhomologous_lattice
 from echlab.presets_io import load_system_preset, load_torus_preset
 from echlab.stheta import density_profile, s_theta_up_to, semiconvergents_above
 
+from test_indices import j0_oracle
 from test_lefschetz import grid_count
 
 SQRT2 = make_exact((0, 1, 1, 2))
@@ -125,10 +126,10 @@ def test_criterion_4_index_identity():
             for _ in range(per_preset):
                 m = _random_generator(rng, system, name)
                 value_i = ech_index(system, m)
+                value_j0 = j0_index(system, m)
                 assert value_i % 2 == 0, (name, m)
-                assert value_i - j0_index(system, m) == index_identity_residual(
-                    system, m
-                ), (name, m)
+                assert value_i - value_j0 == index_identity_residual(system, m), (name, m)
+                assert value_j0 == j0_oracle(system, m), (name, m)
                 total += 1
         assert total >= 10_000
 

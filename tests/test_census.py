@@ -1,5 +1,6 @@
 """Census: certified enumeration, spectra, growth fits, triangle oracle."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -213,6 +214,20 @@ def test_ellipsoid_verify_passes():
 def test_ellipsoid_verify_rejects_rational():
     with pytest.raises(DegenerateAngleError):
         ellipsoid_verify(make_exact((3, 2)), 20)
+
+
+def test_eta_outside_half_integers_is_rejected_everywhere():
+    short, long = ELLIPSOID.orbits
+    bad = OrbitSystem(
+        (replace(short, eta=Fraction(1, 3)), long), ELLIPSOID.linking, ELLIPSOID.homology
+    )
+    message = "orbit short: eta must lie in \\(1/2\\)Z"
+    with pytest.raises(ValueError, match=message):
+        ech_index(bad, (1, 0))
+    with pytest.raises(ValueError, match=message):
+        enumerate_generators(bad, 10)
+    with pytest.raises(ValueError, match=message):
+        min_index_on_shells(bad, range(3))
 
 
 def test_min_index_on_shells():

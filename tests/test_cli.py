@@ -9,6 +9,8 @@ from echlab.exactreal import make_exact
 from echlab.orbits import system_from_json, system_to_json
 from echlab.presets_io import load_system_preset
 
+from test_indices import j0_oracle
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -60,6 +62,21 @@ def test_census_csv_round_trip(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "m_1,m_2,I,J0,mod2"
     assert lines[1] == "0,0,0,0,0"
+
+
+def test_census_csv_j0_matches_defining_sum(capsys):
+    for preset, imax in (("lens3", "200"), ("n3", "300")):
+        code, out, _ = run_cli(
+            capsys, "census", "--preset", preset, "--imax", imax, "--format", "csv"
+        )
+        assert code == EXIT_OK
+        system = load_system_preset(preset)
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) > 20
+        for line in rows:
+            *m, _, j0, mod2 = (int(v) for v in line.split(","))
+            assert j0 == j0_oracle(system, m), (preset, m)
+            assert mod2 == 0
 
 
 def test_census_json_reparses(capsys):

@@ -17,7 +17,7 @@ from echlab.errors import (
     NotNullhomologousError,
     RefinementError,
 )
-from echlab.exactreal import ExactReal, make_exact
+from echlab.exactreal import ExactReal, floor_sum, make_exact
 from echlab.indices import (
     CYLINDER,
     INFEASIBLE,
@@ -46,6 +46,20 @@ SQRT2M1 = make_exact((-1, 1, 1, 2))
 ONE = Fraction(1)
 
 ELLIPSOID = load_system_preset("ellipsoid-sqrt2")
+
+
+def j0_oracle(system, m):
+    """J0 by its defining sum sum m_i(2 - 2 eta_i) + 2 sum F_i(m_i - 1)
+    + 2 sum_{i<j} m_i m_j Q_ij - #{i : m_i != 0}, F_i(k) = sum_{j<=k} floor(j phi_i);
+    independent of the closed form for I - J0 that j0_index uses."""
+    twice = Fraction(0)
+    for i, (orbit, mult) in enumerate(zip(system.orbits, m)):
+        if mult:
+            twice += mult * (2 - 2 * orbit.eta) + 2 * floor_sum(orbit.phi, mult - 1) - 1
+            for j in range(i + 1, system.n):
+                twice += 2 * mult * m[j] * system.linking[i][j]
+    assert twice.denominator == 1
+    return int(twice)
 
 
 def make_system(phis, q=None, etas=None, homology=(), classes=None):
@@ -86,6 +100,8 @@ def test_j0_ellipsoid_examples():
     assert j0_index(ELLIPSOID, (0, 0)) == 0
     assert j0_index(ELLIPSOID, (1, 1)) == 0
     assert j0_index(ELLIPSOID, (1, 0)) == -1
+    for m in ((0, 0), (1, 1), (1, 0), (7, 3)):
+        assert j0_index(ELLIPSOID, m) == j0_oracle(ELLIPSOID, m)
 
 
 def test_residual_examples():
@@ -151,6 +167,7 @@ def test_identity_and_parity_randomized(m1, m2, name):
     value_i = ech_index(system, m)
     assert value_i % 2 == 0
     assert value_i - j0_index(system, m) == index_identity_residual(system, m)
+    assert j0_index(system, m) == j0_oracle(system, m)
 
 
 @settings(max_examples=150, deadline=None)
