@@ -237,11 +237,10 @@ def _cmd_torus_map(args: argparse.Namespace) -> int:
     if args.preset:
         tm = load_torus_preset(args.preset)
     else:
-        # without --preset, --A and --b are required; a missing one is
-        # reported by name, as a KeyError
-        given = {k: v for k, v in vars(args).items() if v is not None}
-        matrix = json.loads(given["A"])
-        translation = [parse_exact(v) for v in _split_top_level(given["b"])]
+        if args.A is None or args.b is None:
+            raise ValueError("torus-map needs --A and --b unless --preset is given")
+        matrix = json.loads(args.A)
+        translation = [parse_exact(v) for v in _split_top_level(args.b)]
         tm = lefschetz.AffineTorusMap.build(matrix, translation)
     p_max = args.pmax
     report = lefschetz.torus_orbit_report(tm, p_max)

@@ -3,8 +3,9 @@ periodic orbits, and exact periodic-point detection for affine torus maps.
 
 With every periodic point counting with weight +1, the zeta product formula
 reads det(1 - tA) * prod_orbits (1 - t^p) = (1 - t)^2, where A is the induced
-map on first homology.  The solver enumerates all (genus, A-invariants,
-period multiset) data satisfying the identity within given bounds.  Affine
+map on first homology.  The polynomial identity is its own certificate:
+its log-derivative is the list of per-iterate fixed-point counts, and its
+degree leaves two solutions, which the solver returns in closed form.  Affine
 maps x -> Ax + b on the torus are checked for p-periodic points by exact
 linear algebra over the translation's quadratic field.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exactreal import ExactReal, make_exact
 from .intlinalg import det, identity, mat_mul, mat_pow, mat_sub, smith_normal_form, trace
@@ -24,12 +25,11 @@ Poly = list[int]  # coefficient list, index = power of t
 SQUARE_ONE_MINUS_T = [1, -2, 1]
 
 
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out = [0] * (len(a) + len(b) - 1)
+def _times_one_minus_power(a: Poly, p: int) -> Poly:
+    """a(t) * (1 - t^p): a shift by p and a subtraction."""
+    out = a + [0] * p
     for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+        out[i + p] -= x
     return out
 
 
@@ -92,17 +92,22 @@ class ZetaCheck:
 
 
 def zeta_identity_check(instance: ZetaInstance, degree: int) -> ZetaCheck:
-    """Exact check of det(1-tA) * prod (1-t^p) == (1-t)^2 as polynomials,
-    plus the per-iterate fixed-point counts 2 - tr(A^p) == sum_{p(o) | p} p(o)
-    for every p <= degree."""
+    """Exact check of det(1-tA) * prod (1-t^p) == (1-t)^2 as polynomials.
+
+    The identity also settles the per-iterate fixed-point counts.  Applying
+    -t d/dt log to both sides gives sum_k (tr(A^k) + sum_{p | k} p) t^k on
+    the left and sum_k 2 t^k on the right, so the identity holds exactly when
+    2 - tr(A^k) == sum_{p | k} p for every k >= 1: both sides have constant
+    term 1, so equal log-derivatives mean equal polynomials.  A passed
+    identity therefore certifies every iterate up to `degree` (and beyond);
+    `degree` is still checked against its lower bound.
+    """
     minimum = max(2, sum(instance.periods), 2 * instance.genus)
     if degree < minimum:
         raise ValueError(f"degree must be at least {minimum}")
     product = char_reciprocal(instance.matrix)
     for p in instance.periods:
-        factor = [0] * (p + 1)
-        factor[0], factor[p] = 1, -1
-        product = _poly_mul(product, factor)
+        product = _times_one_minus_power(product, p)
     product = _poly_trim(product)
     if product != SQUARE_ONE_MINUS_T:
         width = max(len(product), 3)
@@ -113,14 +118,6 @@ def zeta_identity_check(instance: ZetaInstance, degree: int) -> ZetaCheck:
             False, power,
             f"coefficient of t^{power} is {padded[power]}, expected {target[power]}",
         )
-    for p in range(1, degree + 1):
-        count = sum(q for q in instance.periods if p % q == 0)
-        lefschetz = lefschetz_number(instance, p)
-        if lefschetz != count:
-            return ZetaCheck(
-                False, p,
-                f"fixed-point count at iterate {p}: Lefschetz gives {lefschetz}, orbits give {count}",
-            )
     return ZetaCheck(True)
 
 
@@ -132,54 +129,34 @@ class ZetaSolution:
     periods: tuple[int, ...]
 
 
-def _partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Multisets of positive integers with the given sum, nonincreasing order."""
-    if total == 0:
-        yield ()
-        return
-    cap = total if largest is None else min(largest, total)
-    for first in range(cap, 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
 def zeta_solve(
     g_max: int, period_sum_max: int, trace_bound: int = 5
 ) -> list[ZetaSolution]:
     """All (genus, H1-map invariants, period multiset) satisfying the product
-    identity within the bounds.
+    identity within the bounds, in closed form.
 
-    Genus 0 has no H1 data; genus 1 maps are parametrized by (trace, det=1)
-    since det(1-tA) only depends on those; genus >= 2 is ruled out by the
-    degree obstruction (det(1-tA) has degree 2g with unit leading coefficient,
-    so the left side has degree 2g + sum p > 2).
+    det(1-tA) has degree 2g with unit leading coefficient and 1 - t^p has
+    degree p with leading coefficient -1, so the left side has degree
+    2g + sum p and the identity forces sum p = 2 - 2g: genus >= 2 is ruled
+    out.  In genus 0 every factor 1 - t^p vanishes to order exactly 1 at
+    t = 1, against order 2 on the right, so the periods are (1, 1), within
+    the bounds when period_sum_max >= 2.  In genus 1 there are no periods and
+    det(1-tA) = 1 - tr(A) t + det(A) t^2 must be (1-t)^2: trace 2 and det 1,
+    within the bounds when g_max >= 1 and trace_bound >= 2.
     """
     if g_max < 0 or period_sum_max < 0 or trace_bound < 0:
         raise ValueError("bounds must be nonnegative")
     solutions: list[ZetaSolution] = []
-    multisets = [
-        parts
-        for s in range(period_sum_max + 1)
-        for parts in _partitions(s)
-    ]
-    for periods in multisets:
-        base = [1]
-        for p in periods:
-            factor = [0] * (p + 1)
-            factor[0], factor[p] = 1, -1
-            base = _poly_mul(base, factor)
-        if g_max >= 0 and _poly_trim(base) == SQUARE_ONE_MINUS_T:
-            solutions.append(ZetaSolution(0, None, None, periods))
-        if g_max >= 1:
-            for tr in range(-trace_bound, trace_bound + 1):
-                quadratic = [1, -tr, 1]  # det(1 - tA) for det A = 1
-                if _poly_trim(_poly_mul(quadratic, base)) == SQUARE_ONE_MINUS_T:
-                    solutions.append(ZetaSolution(1, tr, 1, periods))
-    solutions.sort(key=lambda s: (s.genus, s.trace if s.trace is not None else 0, s.periods))
+    if period_sum_max >= 2:
+        solutions.append(ZetaSolution(0, None, None, (1, 1)))
+    if g_max >= 1 and trace_bound >= 2:
+        solutions.append(ZetaSolution(1, 2, 1, ()))
     return solutions
 
 
 # -- affine torus maps --------------------------------------------------------
+
+_SHAPE_ERROR = "torus maps are 2 x 2 with a length-2 translation"
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,15 +167,19 @@ class AffineTorusMap:
     translation: tuple[ExactReal, ExactReal]
 
     def __post_init__(self):
+        if (len(self.matrix) != 2 or any(len(row) != 2 for row in self.matrix)
+                or len(self.translation) != 2):
+            raise ValueError(_SHAPE_ERROR)
         if det(self.matrix) != 1:
             raise ValueError("matrix must have determinant 1")
 
     @staticmethod
     def build(matrix: Sequence[Sequence[int]], translation: Sequence) -> "AffineTorusMap":
-        rows = tuple(tuple(int(v) for v in row) for row in matrix)
+        try:
+            rows = tuple(tuple(int(v) for v in row) for row in matrix)
+        except TypeError as exc:  # a row or an entry that is not a number
+            raise ValueError(_SHAPE_ERROR) from exc
         b = tuple(make_exact(v) for v in translation)
-        if len(rows) != 2 or len(b) != 2:
-            raise ValueError("torus maps are 2 x 2 with a length-2 translation")
         return AffineTorusMap(rows, b)  # type: ignore[arg-type]
 
 
@@ -227,29 +208,16 @@ def _is_integral_combination(pairs: Sequence[tuple[int, ExactReal]]) -> bool:
     return rational.denominator == 1
 
 
-def torus_periodic_points(tm: AffineTorusMap, p: int) -> PeriodicPointReport:
-    """Solutions of (A^p - I) x = -c_p (mod Z^2) with c_p = (A^{p-1}+...+I) b.
-
-    det(A^p - I) != 0 gives exactly |det| solutions for any translation; a
-    singular nonzero difference is solvable (then a union of circles) exactly
-    when the Smith-form obstruction row lands in the integers; A^p = I makes
-    every point periodic when c_p is integral and none otherwise.
-    """
-    if p < 1:
-        raise ValueError("iterate must be >= 1")
-    a_pow = mat_pow(tm.matrix, p)
+def _classify(a_pow: Sequence[Sequence[int]], geometric: Sequence[Sequence[int]],
+              translation: tuple[ExactReal, ExactReal]) -> PeriodicPointReport:
+    """Solutions of (A^p - I) x = -c_p (mod Z^2), given A^p and the geometric
+    sum S_p = I + A + ... + A^(p-1), with c_p = S_p b."""
     b_matrix = mat_sub(a_pow, identity(2))
-    # geometric sum I + A + ... + A^(p-1)
-    acc = identity(2)
-    term = identity(2)
-    for _ in range(p - 1):
-        term = mat_mul(term, tm.matrix)
-        acc = [[acc[i][j] + term[i][j] for j in range(2)] for i in range(2)]
-    b0, b1 = tm.translation
-
+    b0, b1 = translation
     if all(v == 0 for row in b_matrix for v in row):
         integral = all(
-            _is_integral_combination([(acc[i][0], b0), (acc[i][1], b1)]) for i in range(2)
+            _is_integral_combination([(geometric[i][0], b0), (geometric[i][1], b1)])
+            for i in range(2)
         )
         return PeriodicPointReport(POSITIVE_DIMENSIONAL if integral else NONE)
     determinant = det(b_matrix)
@@ -258,10 +226,31 @@ def torus_periodic_points(tm: AffineTorusMap, p: int) -> PeriodicPointReport:
     u, _, _ = smith_normal_form(b_matrix)
     # rank 1: solvability needs the second transformed component integral
     obstruction_row = u[1]
-    coeff0 = obstruction_row[0] * acc[0][0] + obstruction_row[1] * acc[1][0]
-    coeff1 = obstruction_row[0] * acc[0][1] + obstruction_row[1] * acc[1][1]
+    coeff0 = obstruction_row[0] * geometric[0][0] + obstruction_row[1] * geometric[1][0]
+    coeff1 = obstruction_row[0] * geometric[0][1] + obstruction_row[1] * geometric[1][1]
     solvable = _is_integral_combination([(coeff0, b0), (coeff1, b1)])
     return PeriodicPointReport(POSITIVE_DIMENSIONAL if solvable else NONE)
+
+
+def torus_periodic_points(tm: AffineTorusMap, p: int) -> PeriodicPointReport:
+    """Solutions of (A^p - I) x = -c_p (mod Z^2) with c_p = (A^{p-1}+...+I) b.
+
+    det(A^p - I) != 0 gives exactly |det| solutions for any translation; a
+    singular nonzero difference is solvable (then a union of circles) exactly
+    when the Smith-form obstruction row lands in the integers; A^p = I makes
+    every point periodic when c_p is integral and none otherwise.
+
+    A^p and S_p = I + A + ... + A^(p-1) come from one O(log p) matrix power:
+    the block matrix [[A, I], [0, I]] has p-th power [[A^p, S_p], [0, I]],
+    since multiplying [[A^k, S_k], [0, I]] by it gives S_{k+1} = A^k + S_k.
+    """
+    if p < 1:
+        raise ValueError("iterate must be >= 1")
+    (a, b), (c, d) = tm.matrix
+    block = mat_pow([[a, b, 1, 0], [c, d, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]], p)
+    return _classify(
+        [row[:2] for row in block[:2]], [row[2:] for row in block[:2]], tm.translation
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,13 +267,17 @@ class TorusOrbitReport:
 
 
 def torus_orbit_report(tm: AffineTorusMap, p_max: int) -> TorusOrbitReport:
-    """Tabulate torus_periodic_points for p = 1..p_max."""
+    """Tabulate torus_periodic_points for p = 1..p_max, carrying A^p and
+    S_p from one period to the next: one product and one sum per period."""
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     rows = []
     first = None
+    a_pow, geometric = identity(2), [[0, 0], [0, 0]]  # A^0 and S_0
     for p in range(1, p_max + 1):
-        report = torus_periodic_points(tm, p)
+        geometric = [[s + x for s, x in zip(rs, rx)] for rs, rx in zip(geometric, a_pow)]
+        a_pow = mat_mul(a_pow, tm.matrix)
+        report = _classify(a_pow, geometric, tm.translation)
         rows.append((p, report))
         if first is None and report.kind != NONE:
             first = p

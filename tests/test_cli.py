@@ -135,6 +135,22 @@ def test_torus_map_inline_json_translation(capsys):
     ]
 
 
+@pytest.mark.parametrize("given", [("--b", "0,0"), ("--A", "[[1,1],[0,1]]")])
+def test_torus_map_missing_matrix_or_translation_names_the_flags(capsys, given):
+    code, out, err = run_cli(capsys, "torus-map", *given, "--pmax", "5")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "error: torus-map needs --A and --b unless --preset is given\n"
+
+
+@pytest.mark.parametrize("matrix", ["[[1,1],[0]]", "[[1,1,0],[0,1,0]]", "[1,2]", "5"])
+def test_torus_map_malformed_matrix_is_an_input_error(capsys, matrix):
+    code, out, err = run_cli(capsys, "torus-map", "--A", matrix, "--b", "0,0", "--pmax", "3")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "error: torus maps are 2 x 2 with a length-2 translation\n"
+
+
 def test_index_at_huge_multiplicities(capsys):
     code, out, _ = run_cli(
         capsys, "index", "--preset", "ellipsoid-sqrt2", "--m", "1000000000000,1000000000000"
