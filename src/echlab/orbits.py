@@ -10,7 +10,7 @@ like the orbit list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -59,6 +59,14 @@ class OrbitSystem:
     orbits: tuple[Orbit, ...]
     linking: tuple[tuple[int, ...], ...]
     homology: Homology = Homology()
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        # Per-system caches are keyed by the system on every index call;
+        # hashing every orbit's eta and phi each time dominated those calls.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.orbits, self.linking, self.homology)))
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -143,6 +151,8 @@ class NullLattice:
         n = len(self.basis)
         if len(m) != n:
             raise ValueError("dimension mismatch")
+        if self.index == 1:  # a full-rank sublattice of index 1 is all of Z^n
+            return True
         residual = list(m)
         for i in range(n):
             pivot = self.basis[i][i]
