@@ -96,31 +96,18 @@ def index_residual(system: OrbitSystem, m: Sequence[int], two_eta: Sequence[int]
     return total
 
 
-@lru_cache(maxsize=256)
-def _doubled_etas(system: OrbitSystem) -> tuple[int | None, ...]:
-    """2*eta per orbit, or None where the orbit cannot enter an index formula
-    (hyperbolic, or eta outside (1/2)Z)."""
-    return tuple(
-        doubled_eta(o) if o.is_elliptic() and o.eta is not None and o.eta.denominator <= 2 else None
-        for o in system.orbits
-    )
-
-
 def _check_generator(system: OrbitSystem, m: Sequence[int]) -> tuple[Generator, list[int]]:
     """The generator as a tuple, with 2*eta per orbit (0 where m_i = 0)."""
     m = tuple(int(v) for v in m)
     if not is_valid_generator(system, m):
         raise ValueError(f"invalid generator multiplicities {m}")
     two_eta = []
-    for orbit, mult, doubled in zip(system.orbits, m, _doubled_etas(system)):
-        if not mult:
-            two_eta.append(0)
-            continue
-        if not orbit.is_elliptic():
+    for orbit, mult in zip(system.orbits, m):
+        if mult > 0 and not orbit.is_elliptic():
             raise HyperbolicOrbitError(
                 f"orbit {orbit.name} is hyperbolic; index formulas need elliptic orbits"
             )
-        two_eta.append(doubled_eta(orbit) if doubled is None else doubled)
+        two_eta.append(doubled_eta(orbit) if mult else 0)
     if not nullhomologous_lattice(system).contains(m):
         raise NotNullhomologousError(f"generator {m} is not nullhomologous")
     return m, two_eta

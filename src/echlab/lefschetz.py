@@ -176,9 +176,11 @@ class AffineTorusMap:
     @staticmethod
     def build(matrix: Sequence[Sequence[int]], translation: Sequence) -> "AffineTorusMap":
         try:
-            rows = tuple(tuple(int(v) for v in row) for row in matrix)
-        except TypeError as exc:  # a row or an entry that is not a number
+            rows = tuple(tuple(row) for row in matrix)
+        except TypeError as exc:  # a matrix or a row that is not a sequence
             raise ValueError(_SHAPE_ERROR) from exc
+        if any(type(v) is not int for row in rows for v in row):
+            raise ValueError("torus map matrix entries must be integers")
         b = tuple(make_exact(v) for v in translation)
         return AffineTorusMap(rows, b)  # type: ignore[arg-type]
 

@@ -151,6 +151,14 @@ def test_torus_map_malformed_matrix_is_an_input_error(capsys, matrix):
     assert err == "error: torus maps are 2 x 2 with a length-2 translation\n"
 
 
+@pytest.mark.parametrize("matrix", ["[[1.5,0],[0.9,1]]", "[[true,0],[0,true]]", '[["1",0],[0,1]]'])
+def test_torus_map_non_integer_matrix_is_an_input_error(capsys, matrix):
+    code, out, err = run_cli(capsys, "torus-map", "--A", matrix, "--b", "0,0", "--pmax", "1")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "error: torus map matrix entries must be integers\n"
+
+
 def test_index_at_huge_multiplicities(capsys):
     code, out, _ = run_cli(
         capsys, "index", "--preset", "ellipsoid-sqrt2", "--m", "1000000000000,1000000000000"
