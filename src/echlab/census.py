@@ -22,7 +22,6 @@ from .errors import (
     DegenerateAngleError,
     HyperbolicOrbitError,
     IndexParityError,
-    RefinementError,
 )
 from .exactreal import ExactReal, floor_mult, floor_sum
 from .orbits import (
@@ -84,56 +83,18 @@ def _sqrt_upper(x: Fraction) -> Fraction:
     return Fraction(isqrt(x.numerator * x.denominator) + 1, x.denominator)
 
 
-def _phi_bounds(system: OrbitSystem, bits: int) -> list[tuple[Fraction, Fraction]]:
-    return [orbit.phi.rational_bounds(bits) for orbit in system.orbits]
-
-
-def _coercivity(system: OrbitSystem) -> Fraction:
-    """Certified rational c > 0 with Qbar(m) >= c |m|^2 on the quadrant.
-
-    Only called after qbar_quadrant_positive(system) returned "positive", so
-    refinement of the rational enclosures terminates.
-    """
-    n = system.n
-    bits = _BOUND_BITS
-    while True:
-        bounds = _phi_bounds(system, bits)
-        los = [lo for lo, _ in bounds]
-        if all(lo > 0 for lo in los):
-            if all(system.linking[i][j] >= 0 for i in range(n) for j in range(i + 1, n)):
-                return min(los)
-            if n == 2:
-                q12 = system.linking[0][1]
-                det_lo = los[0] * los[1] - q12 * q12
-                if det_lo > 0:
-                    his = [hi for _, hi in bounds]
-                    # Qbar * phi_j = (phi_j m_j + q12 m_i)^2 + det * m_i^2
-                    per_axis = min(det_lo / his[1], det_lo / his[0])
-                    return per_axis / 2
-            else:
-                dominance = [
-                    los[i] - sum(abs(system.linking[i][j]) for j in range(n) if j != i)
-                    for i in range(n)
-                ]
-                if all(v > 0 for v in dominance):
-                    return min(dominance)
-        bits *= 2
-        if bits > 1 << 16:
-            raise RefinementError("coercivity refinement did not converge")
-
-
-def _certified_box(system: OrbitSystem, i_max: int) -> int:
+def _certified_box(system: OrbitSystem, i_max: int, c: Fraction) -> int:
     """Per-coordinate bound B: any m with some m_i > B has index > i_max.
 
     Uses I(m) > Qbar(m) - sum m_i max(0, 2 - 2 eta_i - phi_i) together with
-    the coercivity constant of the quadrant-positive form.
+    the coercivity constant c of the quadrant-positive form.
     """
     if i_max < 0:
         return 0
-    c = _coercivity(system)
     slack = Fraction(0)
-    for (lo, _), orbit in zip(_phi_bounds(system, _BOUND_BITS), system.orbits):
-        slack = max(slack, max(Fraction(0), 2 - 2 * orbit.eta - lo))
+    for orbit in system.orbits:
+        lo, _ = orbit.phi.rational_bounds(_BOUND_BITS)
+        slack = max(slack, 2 - 2 * orbit.eta - lo)
     n = system.n
     # solve c t^2 - n*slack*t - i_max <= 0 for t
     disc = (n * slack) ** 2 + 4 * c * i_max
@@ -163,7 +124,7 @@ def enumerate_generators(
             raise CensusBoundError(
                 f"no positivity certificate (verdict: {cert.verdict}); supply a box"
             )
-        limit = _certified_box(system, i_max)
+        limit = _certified_box(system, i_max, cert.coercivity)
         limits = [limit] * n
         recorded_box = None
     else:

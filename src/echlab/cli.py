@@ -202,11 +202,8 @@ def _cmd_zeta_check(args: argparse.Namespace) -> int:
     genus = args.genus
     matrix = json.loads(args.matrix or "[]")
     periods = tuple(int(v) for v in args.periods.split(",")) if args.periods else ()
-    instance = lefschetz.ZetaInstance(
-        genus, tuple(tuple(int(v) for v in row) for row in matrix), periods
-    )
-    degree = args.degree or max(2, sum(instance.periods), 2 * instance.genus)
-    outcome = lefschetz.zeta_identity_check(instance, degree)
+    instance = lefschetz.ZetaInstance(genus, tuple(tuple(row) for row in matrix), periods)
+    outcome = lefschetz.zeta_identity_check(instance, args.degree)
     payload = {
         "genus": genus,
         "periods": list(periods),
@@ -285,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="echlab",
         description="Exact index combinatorics of embedded-orbit systems",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="index report for one generator")

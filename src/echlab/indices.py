@@ -185,72 +185,73 @@ class QuadrantCertificate:
 
     verdict is one of "positive", "degenerate-direction", "indefinite",
     "unknown"; null_direction carries the kernel direction in the closed
-    quadrant when the form degenerates there.
+    quadrant when the form degenerates there.  coercivity is set exactly
+    when the verdict is "positive": a certified rational c > 0 with
+    Qbar(m) >= c |m|^2 on the quadrant.
     """
 
     verdict: str
     null_direction: tuple[ExactReal, ExactReal] | None = None
+    coercivity: Fraction | None = None
 
 
 def qbar_quadrant_positive(system: OrbitSystem) -> QuadrantCertificate:
-    """Decide positivity of the quadratic form on the closed quadrant minus 0.
+    """Decide positivity of the quadratic form on the closed quadrant minus 0,
+    and certify its coercivity constant when it is positive.
 
     Exact for n <= 2.  For n >= 3 two sufficient criteria are applied (all
     cross-linking nonnegative, or strict diagonal dominance); otherwise the
-    verdict is "unknown".
+    verdict is "unknown".  The constant comes from rational enclosures of the
+    phi values, refined until the chosen criterion holds for them; for n = 2
+    over mixed fields the same refinement decides the sign of phi1 phi2 - Q12^2.
     """
     phis = []
     for orbit in system.orbits:
         if not orbit.is_elliptic():
             raise HyperbolicOrbitError(f"orbit {orbit.name} is hyperbolic")
         phis.append(orbit.phi)
+    if any(phi.sign() <= 0 for phi in phis):
+        return QuadrantCertificate("indefinite")
     n = system.n
-    if n == 0:
-        return QuadrantCertificate("positive")
-    if any(phi.sign() < 0 for phi in phis):
-        return QuadrantCertificate("indefinite")
-    if any(phi.is_zero() for phi in phis):
-        return QuadrantCertificate("indefinite")
-    if n == 1:
-        return QuadrantCertificate("positive")
-    if n == 2:
-        q12 = system.linking[0][1]
-        if q12 >= 0:
-            return QuadrantCertificate("positive")
-        s = _sign_phi_product_minus_square(phis[0], phis[1], q12 * q12)
-        if s > 0:
-            return QuadrantCertificate("positive")
-        if s == 0:
-            direction = (ExactReal.from_rational(-q12), phis[0])
-            return QuadrantCertificate("degenerate-direction", direction)
-        return QuadrantCertificate("indefinite")
-    if all(
-        system.linking[i][j] >= 0 for i in range(n) for j in range(i + 1, n)
-    ):
-        return QuadrantCertificate("positive")
-    for i in range(n):
-        row_sum = sum(abs(system.linking[i][j]) for j in range(n) if j != i)
-        if not (phis[i] > row_sum):
-            return QuadrantCertificate("unknown")
-    return QuadrantCertificate("positive")
-
-
-def _sign_phi_product_minus_square(a: ExactReal, b: ExactReal, c: int) -> int:
-    """Sign of a*b - c for positive a, b.  Exact in a common field; for mixed
-    fields decided by certified refinement (a*b is then irrational)."""
-    try:
-        return (a * b - c).sign()
-    except MixedFieldError:
-        bits = 32
-        while bits <= 1 << 16:
-            alo, ahi = a.rational_bounds(bits)
-            blo, bhi = b.rational_bounds(bits)
-            if alo * blo > c:
-                return 1
-            if ahi * bhi < c:
-                return -1
-            bits *= 2
-        raise RefinementError("product refinement did not converge")
+    linking = system.linking
+    nonnegative = all(linking[i][j] >= 0 for i in range(n) for j in range(i + 1, n))
+    row_sums = [sum(abs(linking[i][j]) for j in range(n) if j != i) for i in range(n)]
+    mixed = False
+    if not nonnegative and n == 2:
+        q12 = linking[0][1]
+        try:
+            s = (phis[0] * phis[1] - q12 * q12).sign()
+        except MixedFieldError:  # the product is irrational: refinement decides
+            mixed = True
+        else:
+            if s == 0:
+                direction = (ExactReal.from_rational(-q12), phis[0])
+                return QuadrantCertificate("degenerate-direction", direction)
+            if s < 0:
+                return QuadrantCertificate("indefinite")
+    elif not nonnegative and not all(phi > r for phi, r in zip(phis, row_sums)):
+        return QuadrantCertificate("unknown")
+    bits = 32
+    while bits <= 1 << 16:
+        bounds = [phi.rational_bounds(bits) for phi in phis]
+        los = [lo for lo, _ in bounds]
+        his = [hi for _, hi in bounds]
+        if mixed and his[0] * his[1] < q12 * q12:
+            return QuadrantCertificate("indefinite")
+        if nonnegative:
+            c = min(los, default=Fraction(1))  # n = 0: the quadrant minus 0 is empty
+        elif n == 2:
+            # Qbar * phi_j = (phi_j m_j + q12 m_i)^2 + det * m_i^2
+            det_lo = los[0] * los[1] - q12 * q12
+            c = min(det_lo / his[1], det_lo / his[0]) / 2
+        else:  # strict diagonal dominance
+            c = min(lo - r for lo, r in zip(los, row_sums))
+        # c > 0 forces every lo > 0; for n = 2, since lo > phi - 1 > -1,
+        # two negative lo have a product below 1 <= Q12^2
+        if c > 0:
+            return QuadrantCertificate("positive", coercivity=c)
+        bits *= 2
+    raise RefinementError("quadrant certificate refinement did not converge")
 
 
 def index_envelope(system: OrbitSystem, m: Sequence[int]) -> tuple[int, int]:

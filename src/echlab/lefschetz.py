@@ -69,6 +69,8 @@ class ZetaInstance:
         size = 2 * self.genus
         if len(self.matrix) != size or any(len(r) != size for r in self.matrix):
             raise ValueError("matrix must be 2g x 2g")
+        if any(type(v) is not int for row in self.matrix for v in row):
+            raise ValueError("matrix entries must be integers")
         if size and abs(det(self.matrix)) != 1:
             raise ValueError("induced map must be invertible over the integers")
         if any(p < 1 for p in self.periods):
@@ -91,7 +93,7 @@ class ZetaCheck:
     detail: str | None = None
 
 
-def zeta_identity_check(instance: ZetaInstance, degree: int) -> ZetaCheck:
+def zeta_identity_check(instance: ZetaInstance, degree: int | None = None) -> ZetaCheck:
     """Exact check of det(1-tA) * prod (1-t^p) == (1-t)^2 as polynomials.
 
     The identity also settles the per-iterate fixed-point counts.  Applying
@@ -100,10 +102,10 @@ def zeta_identity_check(instance: ZetaInstance, degree: int) -> ZetaCheck:
     2 - tr(A^k) == sum_{p | k} p for every k >= 1: both sides have constant
     term 1, so equal log-derivatives mean equal polynomials.  A passed
     identity therefore certifies every iterate up to `degree` (and beyond);
-    `degree` is still checked against its lower bound.
+    `degree`, when given, must still reach its lower bound.
     """
     minimum = max(2, sum(instance.periods), 2 * instance.genus)
-    if degree < minimum:
+    if degree is not None and degree < minimum:
         raise ValueError(f"degree must be at least {minimum}")
     product = char_reciprocal(instance.matrix)
     for p in instance.periods:

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from echlab.census import (
-    _coercivity,
+    _certified_box,
     ellipsoid_verify,
     enumerate_generators,
     fit_shell_lower_bound,
@@ -24,7 +24,7 @@ from echlab.errors import (
     RefinementError,
 )
 from echlab.exactreal import ExactReal, floor_mult, make_exact
-from echlab.indices import ech_index
+from echlab.indices import ech_index, qbar_quadrant_positive
 from echlab.orbits import ELLIPTIC, Homology, Orbit, OrbitSystem, nullhomologous_lattice
 from echlab.presets_io import load_system_preset
 
@@ -106,12 +106,37 @@ def test_census_rejects_hyperbolic_systems():
 
 def test_coercivity_refinement_failure_is_typed():
     # a bare non-squarefree radicand: phi = sqrt(4) = 2 on both orbits and
-    # Q12 = -2 make the form degenerate, which no enclosure can certify
+    # Q12 = -2 make the form degenerate, which the exact test decides
     two = ExactReal(0, 1, 1, 4)
     orbits = tuple(Orbit(name, ELLIPTIC, eta=Fraction(1), phi=two) for name in "ab")
     system = OrbitSystem(orbits, ((0, -2), (-2, 0)), Homology())
+    assert qbar_quadrant_positive(system).verdict == "degenerate-direction"
+    # phi = sqrt(N^2 + 1) - N ~ 1/(2N) is positive, but below the resolution
+    # of every enclosure, so no positive lower bound certifies a constant
+    big = 2**70000
+    tiny = ExactReal(-big, 1, 1, big * big + 1)
+    orbits = (Orbit("a", ELLIPTIC, eta=Fraction(1), phi=tiny),)
+    system = OrbitSystem(orbits, ((0,),), Homology())
+    assert tiny.sign() > 0
     with pytest.raises(RefinementError):
-        _coercivity(system)
+        qbar_quadrant_positive(system)
+
+
+def test_certified_box_is_unchanged():
+    # boxes at i_max = -1, 0, 37, 300, 8000, as the separate verdict and
+    # coercivity passes gave them
+    expected = {
+        "ellipsoid-sqrt2": (0, 2, 9, 22, 108),
+        "ellipsoid-golden": (0, 2, 9, 24, 115),
+        "ellipsoid-sqrt3": (0, 2, 10, 24, 119),
+        "lens3": (0, 2, 7, 16, 77),
+        "n1": (0, 2, 7, 16, 77),
+        "n3": (0, 2, 7, 16, 77),
+    }
+    for name, boxes in expected.items():
+        system = load_system_preset(name)
+        c = qbar_quadrant_positive(system).coercivity
+        assert tuple(_certified_box(system, i, c) for i in (-1, 0, 37, 300, 8000)) == boxes
 
 
 def test_census_completeness_against_brute_force():

@@ -101,6 +101,25 @@ def test_zeta_check_fail_exits_one(capsys):
     assert json.loads(out)["first_failing_power"] == 1
 
 
+@pytest.mark.parametrize(
+    "matrix", ["[[1.9,0],[0.5,1]]", "[[true,0],[0,true]]", '[["1",0],[0,1]]']
+)
+def test_zeta_check_non_integer_matrix_is_an_input_error(capsys, matrix):
+    code, out, err = run_cli(capsys, "zeta-check", "--genus", "1", "--matrix", matrix)
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "error: matrix entries must be integers\n"
+
+
+def test_zeta_check_degree_zero_is_an_input_error(capsys):
+    code, out, err = run_cli(
+        capsys, "zeta-check", "--genus", "0", "--periods", "1,1", "--degree", "0"
+    )
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "error: degree must be at least 2\n"
+
+
 def test_torus_map_preset(capsys):
     code, out, _ = run_cli(capsys, "torus-map", "--preset", "irrational-rotation", "--pmax", "12")
     payload = json.loads(out)
@@ -214,9 +233,7 @@ def test_output_file_and_determinism(capsys, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     for path in (out1, out2):
-        code = main(
-            ["--seed", "3", "census", "--preset", "lens3", "--imax", "30", "--out", str(path)]
-        )
+        code = main(["census", "--preset", "lens3", "--imax", "30", "--out", str(path)])
         assert code == EXIT_OK
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()

@@ -4,6 +4,7 @@ quadrant certificates, and the per-curve bounds."""
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from echlab.indices import (
     NOT_CYLINDER,
     End,
     EndData,
-    _sign_phi_product_minus_square,
+    QuadrantCertificate,
     conley_zehnder,
     cylinder_criterion,
     ech_index,
@@ -214,6 +215,8 @@ def test_quadrant_certificates():
     diagonal = make_system([(0, 1, 1, 2), (0, 1, 1, 2)], q=[[0, 0], [0, 0]])
     assert qbar_quadrant_positive(diagonal).verdict == "positive"
     assert qbar_quadrant_positive(load_system_preset("n3")).verdict == "positive"
+    empty = qbar_quadrant_positive(OrbitSystem((), (), Homology()))
+    assert empty.verdict == "positive" and empty.coercivity > 0  # vacuous for n = 0
 
 
 def test_quadrant_degenerate_direction():
@@ -230,10 +233,183 @@ def test_quadrant_degenerate_direction():
 
 
 def test_product_refinement_failure_is_typed():
-    # bare non-squarefree radicands: sqrt(4) * sqrt(9) is exactly 6 across
-    # two "fields", so the mixed-field refinement can never decide
+    # bare non-squarefree radicands: sqrt(4) * sqrt(64) is exactly 16 = Q12^2
+    # across two "fields", so the mixed-field refinement can never decide
+    orbits = tuple(
+        Orbit(name, ELLIPTIC, eta=ONE, phi=ExactReal(0, 1, 1, d))
+        for name, d in (("a", 4), ("b", 64))
+    )
+    system = OrbitSystem(orbits, ((0, -4), (-4, 0)), Homology())
     with pytest.raises(RefinementError):
-        _sign_phi_product_minus_square(ExactReal(0, 1, 1, 4), ExactReal(0, 1, 1, 9), 6)
+        qbar_quadrant_positive(system)
+
+
+# The quadrant certificate as two passes: an exact case split for the verdict,
+# with its own refinement loop for phi1 phi2 - Q12^2 over mixed fields, then a
+# second, parallel case split for the coercivity constant.  qbar_quadrant_positive
+# makes one case split and runs one loop, and must agree with this oracle.
+
+
+def _oracle_sign_phi_product_minus_square(a, b, c):
+    try:
+        return (a * b - c).sign()
+    except MixedFieldError:
+        bits = 32
+        while bits <= 1 << 16:
+            alo, ahi = a.rational_bounds(bits)
+            blo, bhi = b.rational_bounds(bits)
+            if alo * blo > c:
+                return 1
+            if ahi * bhi < c:
+                return -1
+            bits *= 2
+        raise RefinementError("product refinement did not converge")
+
+
+def _oracle_verdict(system):
+    phis = [orbit.phi for orbit in system.orbits]
+    n = system.n
+    if n == 0:
+        return QuadrantCertificate("positive")
+    if any(phi.sign() < 0 for phi in phis):
+        return QuadrantCertificate("indefinite")
+    if any(phi.is_zero() for phi in phis):
+        return QuadrantCertificate("indefinite")
+    if n == 1:
+        return QuadrantCertificate("positive")
+    if n == 2:
+        q12 = system.linking[0][1]
+        if q12 >= 0:
+            return QuadrantCertificate("positive")
+        s = _oracle_sign_phi_product_minus_square(phis[0], phis[1], q12 * q12)
+        if s > 0:
+            return QuadrantCertificate("positive")
+        if s == 0:
+            direction = (ExactReal.from_rational(-q12), phis[0])
+            return QuadrantCertificate("degenerate-direction", direction)
+        return QuadrantCertificate("indefinite")
+    if all(system.linking[i][j] >= 0 for i in range(n) for j in range(i + 1, n)):
+        return QuadrantCertificate("positive")
+    for i in range(n):
+        row_sum = sum(abs(system.linking[i][j]) for j in range(n) if j != i)
+        if not (phis[i] > row_sum):
+            return QuadrantCertificate("unknown")
+    return QuadrantCertificate("positive")
+
+
+def _oracle_coercivity(system):
+    n = system.n
+    bits = 32
+    while True:
+        bounds = [orbit.phi.rational_bounds(bits) for orbit in system.orbits]
+        los = [lo for lo, _ in bounds]
+        if all(lo > 0 for lo in los):
+            if all(system.linking[i][j] >= 0 for i in range(n) for j in range(i + 1, n)):
+                return min(los)
+            if n == 2:
+                q12 = system.linking[0][1]
+                det_lo = los[0] * los[1] - q12 * q12
+                if det_lo > 0:
+                    his = [hi for _, hi in bounds]
+                    return min(det_lo / his[1], det_lo / his[0]) / 2
+            else:
+                dominance = [
+                    los[i] - sum(abs(system.linking[i][j]) for j in range(n) if j != i)
+                    for i in range(n)
+                ]
+                if all(v > 0 for v in dominance):
+                    return min(dominance)
+        bits *= 2
+        if bits > 1 << 16:
+            raise RefinementError("coercivity refinement did not converge")
+
+
+def _random_phi(rng, d):
+    """A quadratic irrational in Q(sqrt d), or a rational when d == 1; mostly
+    positive, sometimes zero or negative."""
+    p, r = rng.randint(-1, 9), rng.randint(1, 3)
+    if d == 1:
+        return make_exact(Fraction(p, r))
+    return make_exact((p, rng.randint(0, 3), r, d))
+
+
+def _random_quadrant_system(rng):
+    kind = rng.choice(("one-field", "mixed", "rational", "degenerate", "mixed-pair"))
+    if kind in ("degenerate", "mixed-pair"):
+        n, q12 = 2, -rng.randint(1, 5)
+        linking = [[0, q12], [q12, 0]]
+    else:
+        n = rng.randint(1, 4)
+        linking = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                linking[i][j] = linking[j][i] = rng.randint(-2, 2)
+    if kind == "degenerate":
+        # phi1 phi2 == Q12^2 exactly, with phi1 irrational or rational
+        phi1 = _random_phi(rng, rng.choice((1, 2, 3, 5)))
+        while phi1.sign() <= 0:
+            phi1 = _random_phi(rng, rng.choice((1, 2, 3, 5)))
+        phis = [phi1, phi1.reciprocal() * (q12 * q12)]
+    else:
+        if kind == "one-field":
+            fields = [rng.choice((2, 3, 5, 7))] * n
+        elif kind == "rational":
+            fields = [1] * n
+        elif kind == "mixed":
+            fields = rng.sample((1, 2, 3, 5, 7, 11), n)
+        else:  # two fields: refinement decides the sign of phi1 phi2 - Q12^2
+            fields = rng.sample((2, 3, 5, 7, 11), n)
+        phis = [_random_phi(rng, d) for d in fields]
+    orbits = tuple(
+        Orbit(f"o{i}", ELLIPTIC, eta=ONE, phi=phi) for i, phi in enumerate(phis)
+    )
+    return OrbitSystem(orbits, tuple(tuple(row) for row in linking), Homology())
+
+
+def test_quadrant_certificate_matches_two_pass_oracle():
+    rng = random.Random(8)
+    verdicts = set()
+    for _ in range(240):
+        system = _random_quadrant_system(rng)
+        cert = qbar_quadrant_positive(system)
+        expected = _oracle_verdict(system)
+        assert cert.verdict == expected.verdict, system
+        assert cert.null_direction == expected.null_direction, system
+        if cert.verdict == "positive":
+            assert cert.coercivity == _oracle_coercivity(system), system
+        else:
+            assert cert.coercivity is None, system
+        verdicts.add(cert.verdict)
+    assert verdicts == {"positive", "degenerate-direction", "indefinite", "unknown"}
+
+
+def test_coercivity_constant_is_sound():
+    """sum lo_i m_i^2 + 2 sum_{i<j} Q_ij m_i m_j >= c |m|^2 on a grid, for
+    every positive preset and for random positive systems."""
+    rng = random.Random(9)
+    systems = [load_system_preset(name) for name in
+               ("ellipsoid-sqrt2", "ellipsoid-golden", "ellipsoid-sqrt3", "lens3", "n1", "n3")]
+    while len(systems) < 40:
+        system = _random_quadrant_system(rng)
+        if qbar_quadrant_positive(system).verdict == "positive":
+            systems.append(system)
+    for system in systems:
+        c = qbar_quadrant_positive(system).coercivity
+        assert c > 0
+        # the finest lower bounds the refinement can reach: any coarser bound
+        # it used is smaller, so the constant must hold here too; the form is
+        # scaled to integers, since Fractions of that size are slow to reduce
+        los = [orbit.phi.rational_bounds(1 << 16)[0] for orbit in system.orbits]
+        scale = lcm(*(lo.denominator for lo in los))
+        diagonal = [lo.numerator * (scale // lo.denominator) for lo in los]
+        side = 6 if system.n <= 3 else 4
+        for m in product(range(side), repeat=system.n):
+            form = sum(a * v * v for a, v in zip(diagonal, m))
+            for i in range(system.n):
+                for j in range(i + 1, system.n):
+                    form += 2 * system.linking[i][j] * m[i] * m[j] * scale
+            norm_sq = sum(v * v for v in m)
+            assert form * c.denominator >= c.numerator * norm_sq * scale, (system, m)
 
 
 def test_quadrant_positive_implies_positive_values():

@@ -42,6 +42,8 @@ def test_zeta_instance_validation():
         ZetaInstance(1, ((2, 0), (0, 2)), ())  # det 4, not invertible over Z
     with pytest.raises(ValueError):
         ZetaInstance(0, (), (0,))
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        ZetaInstance(1, ((1.9, 0), (0.5, 1)), ())  # would truncate to the identity
 
 
 def test_zeta_identity_examples():
