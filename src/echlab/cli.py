@@ -157,7 +157,10 @@ def _cmd_growth(args: argparse.Namespace) -> int:
     system = _load_system_arg(args)
     samples_text = args.samples
     if ":" in samples_text:
-        count, lo, hi = (int(v) for v in samples_text.split(":"))
+        parts = [int(v) for v in samples_text.split(":")]
+        if len(parts) != 3 or parts[0] < 2 or min(parts[1:]) < 1:
+            raise ValueError("--samples count:lo:hi needs count >= 2 and lo, hi >= 1")
+        count, lo, hi = parts
         ks = sorted(
             {round(lo * (hi / lo) ** (j / (count - 1))) for j in range(count)}
         )
@@ -202,7 +205,7 @@ def _cmd_zeta_check(args: argparse.Namespace) -> int:
     genus = args.genus
     matrix = json.loads(args.matrix or "[]")
     periods = tuple(int(v) for v in args.periods.split(",")) if args.periods else ()
-    instance = lefschetz.ZetaInstance(genus, tuple(tuple(row) for row in matrix), periods)
+    instance = lefschetz.ZetaInstance(genus, matrix, periods)
     outcome = lefschetz.zeta_identity_check(instance, args.degree)
     payload = {
         "genus": genus,

@@ -5,8 +5,7 @@ number (p + q*sqrt(d))/r with arbitrary-precision integers and squarefree
 d >= 2.  Floors of integer multiples, comparisons (including across
 different radicands), and continued-fraction expansions are decided by
 integer arithmetic alone, with math.isqrt supplying the certificates.  No
-floating point enters any code path that affects a result; approx_float()
-exists for display only.
+floating point enters any code path that affects a result.
 """
 
 from __future__ import annotations
@@ -190,9 +189,6 @@ class ExactReal:
     def is_zero(self) -> bool:
         return self.num == 0 and self.q == 0
 
-    def is_integer(self) -> bool:
-        return self.q == 0 and self.den == 1
-
     def as_fraction(self) -> Fraction:
         if self.q != 0:
             raise ValueError("not a rational value")
@@ -212,10 +208,6 @@ class ExactReal:
             return f"{self.num}" if self.den == 1 else f"{self.num}/{self.den}"
         core = f"{self.num}{'+' if self.q >= 0 else '-'}{abs(self.q)}*sqrt({self.d})"
         return f"({core})" if self.den == 1 else f"({core})/{self.den}"
-
-    def approx_float(self) -> float:
-        """Display-only approximation; never used in exact decisions."""
-        return self.num / self.den + (self.q / self.den) * self.d**0.5
 
     # -- arithmetic (closed inside one quadratic field) ---------------------
 

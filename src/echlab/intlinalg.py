@@ -1,5 +1,5 @@
-"""Small exact integer-matrix utilities: products, powers, determinants,
-Hermite and Smith normal forms.  Everything operates on lists of lists of
+"""Small exact integer-matrix utilities: products, powers, determinants and
+the row Hermite normal form.  Everything operates on lists of lists of
 Python ints; matrices in this package stay tiny (a handful of rows), so the
 textbook algorithms are the right tool.
 """
@@ -108,12 +108,10 @@ def row_hermite_form(rows: Sequence[Sequence[int]]) -> Matrix:
         if pivot_row == len(work):
             break
     work = [r for r in work[:pivot_row] if any(r)]
-    # reduce entries above each pivot
-    pivots = []
-    for r in work:
-        c = next(j for j, v in enumerate(r) if v)
-        pivots.append(c)
-    for i in range(len(work) - 1, -1, -1):
+    # reduce entries above each pivot, in ascending pivot order: reducing by
+    # row i leaves the columns of earlier pivots alone
+    pivots = [next(j for j, v in enumerate(r) if v) for r in work]
+    for i in range(1, len(work)):
         c = pivots[i]
         p = work[i][c]
         for j in range(i):
@@ -121,87 +119,3 @@ def row_hermite_form(rows: Sequence[Sequence[int]]) -> Matrix:
             if f:
                 work[j] = [x - f * y for x, y in zip(work[j], work[i])]
     return work
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
-    """(U, S, V) with U*A*V = S diagonal, s_i | s_{i+1}, U and V unimodular."""
-    s = [list(row) for row in a]
-    m = len(s)
-    n = len(s[0]) if m else 0
-    u = identity(m)
-    v = identity(n)
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, f):
-        s[dst] = [x + f * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, f):
-        for row in s:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # locate a smallest-magnitude nonzero entry in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                val = abs(s[i][j])
-                if val and (best is None or val < best):
-                    best = val
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if s[t][t] < 0:
-            negate_row(t)
-        while True:
-            # clear row/column t; a nonzero remainder becomes a smaller pivot
-            dirty = False
-            for i in range(t + 1, m):
-                if s[i][t]:
-                    add_row(i, t, -(s[i][t] // s[t][t]))
-                    if s[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if s[t][j]:
-                    add_col(j, t, -(s[t][j] // s[t][t]))
-                    if s[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # pivot must divide the trailing block; otherwise fold an offending
-        # row into row t and redo this step (pivot magnitude strictly drops)
-        p = s[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            if any(s[i][j] % p for j in range(t + 1, n)):
-                offender = i
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        t += 1
-    for k in range(min(m, n)):
-        if s[k][k] < 0:
-            negate_row(k)
-    return u, s, v

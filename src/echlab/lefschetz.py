@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 from .exactreal import ExactReal, make_exact
-from .intlinalg import det, identity, mat_mul, mat_pow, mat_sub, smith_normal_form, trace
+from .intlinalg import det, identity, mat_mul, mat_pow, mat_sub, trace
 
 Poly = list[int]  # coefficient list, index = power of t
 
@@ -67,11 +68,16 @@ class ZetaInstance:
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
         size = 2 * self.genus
-        if len(self.matrix) != size or any(len(r) != size for r in self.matrix):
+        try:
+            rows = tuple(tuple(row) for row in self.matrix)
+        except TypeError as exc:  # a matrix or a row that is not a sequence
+            raise ValueError("matrix must be 2g x 2g") from exc
+        if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError("matrix must be 2g x 2g")
-        if any(type(v) is not int for row in self.matrix for v in row):
+        object.__setattr__(self, "matrix", rows)
+        if any(type(v) is not int for row in rows for v in row):
             raise ValueError("matrix entries must be integers")
-        if size and abs(det(self.matrix)) != 1:
+        if size and abs(det(rows)) != 1:
             raise ValueError("induced map must be invertible over the integers")
         if any(p < 1 for p in self.periods):
             raise ValueError("periods must be positive")
@@ -217,22 +223,26 @@ def _classify(a_pow: Sequence[Sequence[int]], geometric: Sequence[Sequence[int]]
     """Solutions of (A^p - I) x = -c_p (mod Z^2), given A^p and the geometric
     sum S_p = I + A + ... + A^(p-1), with c_p = S_p b."""
     b_matrix = mat_sub(a_pow, identity(2))
-    b0, b1 = translation
-    if all(v == 0 for row in b_matrix for v in row):
-        integral = all(
-            _is_integral_combination([(geometric[i][0], b0), (geometric[i][1], b1)])
-            for i in range(2)
-        )
-        return PeriodicPointReport(POSITIVE_DIMENSIONAL if integral else NONE)
     determinant = det(b_matrix)
     if determinant != 0:
         return PeriodicPointReport(COUNT, abs(determinant))
-    u, _, _ = smith_normal_form(b_matrix)
-    # rank 1: solvability needs the second transformed component integral
-    obstruction_row = u[1]
-    coeff0 = obstruction_row[0] * geometric[0][0] + obstruction_row[1] * geometric[1][0]
-    coeff1 = obstruction_row[0] * geometric[0][1] + obstruction_row[1] * geometric[1][1]
-    solvable = _is_integral_combination([(coeff0, b0), (coeff1, b1)])
+    # singular: solvable exactly when u . c_p is integral for every row u of
+    # the left kernel of A^p - I, all of Z^2 for the zero matrix and else
+    # spanned by the primitive row orthogonal to a nonzero column (a, c)
+    column = next((col for col in zip(*b_matrix) if any(col)), None)
+    if column is None:
+        kernel = identity(2)
+    else:
+        a, c = column
+        g = gcd(a, c)
+        kernel = [[c // g, -a // g]]
+    # u . c_p = (u S_p) . b
+    (s00, s01), (s10, s11) = geometric
+    b0, b1 = translation
+    solvable = all(
+        _is_integral_combination([(u0 * s00 + u1 * s10, b0), (u0 * s01 + u1 * s11, b1)])
+        for u0, u1 in kernel
+    )
     return PeriodicPointReport(POSITIVE_DIMENSIONAL if solvable else NONE)
 
 
@@ -241,8 +251,8 @@ def torus_periodic_points(tm: AffineTorusMap, p: int) -> PeriodicPointReport:
 
     det(A^p - I) != 0 gives exactly |det| solutions for any translation; a
     singular nonzero difference is solvable (then a union of circles) exactly
-    when the Smith-form obstruction row lands in the integers; A^p = I makes
-    every point periodic when c_p is integral and none otherwise.
+    when its primitive left-kernel row maps c_p into the integers; A^p = I
+    makes every point periodic when c_p is integral and none otherwise.
 
     A^p and S_p = I + A + ... + A^(p-1) come from one O(log p) matrix power:
     the block matrix [[A, I], [0, I]] has p-th power [[A^p, S_p], [0, I]],

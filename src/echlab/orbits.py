@@ -13,12 +13,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from .errors import NonTorsionClassError
 from .exactreal import ExactReal, make_exact
-from .intlinalg import row_hermite_form, smith_normal_form
+from .intlinalg import row_hermite_form
 
 ELLIPTIC = "elliptic"
 POSITIVE_HYPERBOLIC = "positive-hyperbolic"
@@ -71,9 +71,6 @@ class OrbitSystem:
     @property
     def n(self) -> int:
         return len(self.orbits)
-
-    def all_elliptic(self) -> bool:
-        return all(o.is_elliptic() for o in self.orbits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,36 +165,21 @@ class NullLattice:
 def nullhomologous_lattice(system: OrbitSystem) -> NullLattice:
     """Solve sum_i m_i [gamma_i] = 0 in H1 over the integers.
 
-    The congruence system is encoded as the integer kernel of
-    [class-matrix | diag(orders)] via Smith normal form; the returned basis
-    generates the projection onto the m coordinates, and index is the index
-    of the lattice in Z^n (reciprocal of its density).
+    One row Hermite form of the augmented rows (class_i | e_i), one per
+    orbit, and (d_j e_j | 0), one per finite factor Z/d_j, spans the pairs
+    (class of m, m) modulo the orders.  Its rows with a zero class block
+    are the reduced row Hermite basis of the lattice of m with class 0;
+    index is the lattice's index in Z^n (reciprocal of its density).
     """
-    n = system.n
     for o in system.orbits:
         orbit_order(o, system.homology)  # raises NonTorsionClassError if needed
     finite = [(j, d) for j, d in enumerate(system.homology.orders) if d != 0]
-    rows = []
-    for k, (j, d) in enumerate(finite):
-        row = [o.homology_class[j] for o in system.orbits]
-        row += [d if t == k else 0 for t in range(len(finite))]
-        rows.append(row)
-    if not rows or n == 0:
-        basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return NullLattice(basis, 1)
-    _, s, v = smith_normal_form(rows)
-    rank = sum(1 for t in range(min(len(rows), len(rows[0]))) if s[t][t] != 0)
-    width = len(rows[0])
-    generators = []
-    for col in range(rank, width):
-        generators.append([v[i][col] for i in range(n)])
-    basis_rows = row_hermite_form(generators)
-    if len(basis_rows) != n:
-        raise AssertionError("nullhomologous lattice is not full rank")
-    index = 1
-    for i in range(n):
-        index *= basis_rows[i][i]
-    return NullLattice(tuple(tuple(r) for r in basis_rows), index)
+    k, n = len(finite), system.n
+    rows = [[o.homology_class[j] for j, _ in finite] + [int(i == t) for t in range(n)]
+            for i, o in enumerate(system.orbits)]
+    rows += [[d * int(j == t) for t in range(k)] + [0] * n for j, (_, d) in enumerate(finite)]
+    basis = tuple(tuple(r[k:]) for r in row_hermite_form(rows) if not any(r[:k]))
+    return NullLattice(basis, prod(basis[i][i] for i in range(n)))
 
 
 def is_valid_generator(system: OrbitSystem, m: Sequence[int]) -> bool:

@@ -111,6 +111,14 @@ def test_zeta_check_non_integer_matrix_is_an_input_error(capsys, matrix):
     assert err == "error: matrix entries must be integers\n"
 
 
+@pytest.mark.parametrize("matrix", ["[1,2]", "5", "[[1,0],[0]]", "[[1,0,0],[0,1,0]]"])
+def test_zeta_check_misshapen_matrix_is_an_input_error(capsys, matrix):
+    code, out, err = run_cli(capsys, "zeta-check", "--genus", "1", "--matrix", matrix)
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "error: matrix must be 2g x 2g\n"
+
+
 def test_zeta_check_degree_zero_is_an_input_error(capsys):
     code, out, err = run_cli(
         capsys, "zeta-check", "--genus", "0", "--periods", "1,1", "--degree", "0"
@@ -227,6 +235,18 @@ def test_growth_command(capsys):
     )
     payload = json.loads(out)
     assert abs(payload["exponent"] - 1.0) < 0.1
+
+
+@pytest.mark.parametrize(
+    "samples", ["1:5:10", "2:0:10", "4:-5:10", "4:5:-10", "0:5:10", "4:5", "4:5:6:7"]
+)
+def test_growth_bad_sample_range_is_an_input_error(capsys, samples):
+    code, out, err = run_cli(
+        capsys, "growth", "--preset", "ellipsoid-sqrt2", "--samples", samples
+    )
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err == "error: --samples count:lo:hi needs count >= 2 and lo, hi >= 1\n"
 
 
 def test_output_file_and_determinism(capsys, tmp_path):

@@ -1,19 +1,102 @@
-"""Integer matrix utilities against sympy and brute-force oracles."""
+"""Integer matrix utilities against sympy and brute-force oracles.
+
+smith_normal_form left the package when the nullhomologous lattice and the
+torus-map obstruction row got direct constructions; it stays here as their
+oracle.
+"""
+
+from typing import Sequence
 
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sp_snf
 
-from echlab.intlinalg import (
-    det,
-    identity,
-    mat_mul,
-    mat_pow,
-    row_hermite_form,
-    smith_normal_form,
-    trace,
-)
+from echlab.intlinalg import Matrix, det, identity, mat_mul, mat_pow, row_hermite_form, trace
+
+
+def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
+    """(U, S, V) with U*A*V = S diagonal, s_i | s_{i+1}, U and V unimodular."""
+    s = [list(row) for row in a]
+    m = len(s)
+    n = len(s[0]) if m else 0
+    u = identity(m)
+    v = identity(n)
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, f):
+        s[dst] = [x + f * y for x, y in zip(s[dst], s[src])]
+        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, f):
+        for row in s:
+            row[dst] += f * row[src]
+        for row in v:
+            row[dst] += f * row[src]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(m, n):
+        # locate a smallest-magnitude nonzero entry in the trailing block
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                val = abs(s[i][j])
+                if val and (best is None or val < best):
+                    best = val
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        if s[t][t] < 0:
+            negate_row(t)
+        while True:
+            # clear row/column t; a nonzero remainder becomes a smaller pivot
+            dirty = False
+            for i in range(t + 1, m):
+                if s[i][t]:
+                    add_row(i, t, -(s[i][t] // s[t][t]))
+                    if s[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if s[t][j]:
+                    add_col(j, t, -(s[t][j] // s[t][t]))
+                    if s[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        # pivot must divide the trailing block; otherwise fold an offending
+        # row into row t and redo this step (pivot magnitude strictly drops)
+        p = s[t][t]
+        offender = None
+        for i in range(t + 1, m):
+            if any(s[i][j] % p for j in range(t + 1, n)):
+                offender = i
+                break
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        t += 1
+    for k in range(min(m, n)):
+        if s[k][k] < 0:
+            negate_row(k)
+    return u, s, v
 
 
 def int_matrices(n_min=1, n_max=4, lo=-9, hi=9):
@@ -97,9 +180,18 @@ def test_smith_diagonal_matches_sympy(m):
 
 
 @settings(max_examples=100, deadline=None)
-@given(rect_matrices(rows=(1, 4), cols=(1, 4), lo=-6, hi=6))
+@given(rect_matrices(rows=(1, 6), cols=(1, 4), lo=-6, hi=6))
+@example([[1, 5, 7], [0, 2, 9], [0, 0, 6]])
 def test_hermite_form_spans_same_lattice(rows):
     basis = row_hermite_form(rows)
+    # reduced echelon form: pivots strictly move right and are positive, and
+    # every entry above a pivot lies in [0, pivot)
+    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (b, c) in enumerate(zip(basis, pivots)):
+        assert b[c] > 0
+        assert all(0 <= basis[k][c] < b[c] for k in range(i))
+    assert row_hermite_form(basis) == basis
     # every original row reduces to zero against the basis, and vice versa
     def reduces(vec, rows_basis):
         vec = list(vec)

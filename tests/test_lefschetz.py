@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echlab.exactreal import make_exact
-from echlab.intlinalg import det, identity, mat_mul, mat_pow, mat_sub, smith_normal_form, trace
+from echlab.intlinalg import det, identity, mat_mul, mat_pow, mat_sub, trace
 from echlab.lefschetz import (
     COUNT,
     NONE,
@@ -27,6 +27,7 @@ from echlab.lefschetz import (
     zeta_solve,
 )
 from echlab.presets_io import load_torus_preset
+from test_intlinalg import smith_normal_form
 
 ANOSOV = ((2, 1), (1, 1))
 
@@ -44,6 +45,9 @@ def test_zeta_instance_validation():
         ZetaInstance(0, (), (0,))
     with pytest.raises(ValueError, match="matrix entries must be integers"):
         ZetaInstance(1, ((1.9, 0), (0.5, 1)), ())  # would truncate to the identity
+    with pytest.raises(ValueError, match="matrix must be 2g x 2g"):
+        ZetaInstance(1, (1, 2), ())  # rows that are not sequences
+    assert ZetaInstance(1, [[1, 0], [0, 1]], ()).matrix == ((1, 0), (0, 1))
 
 
 def test_zeta_identity_examples():

@@ -1,5 +1,6 @@
 """Orbit model: validation, torsion orders, nullhomologous lattices."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +21,9 @@ from echlab.orbits import (
     orbit_order,
     validate_system,
 )
-from echlab.presets_io import load_system_preset
+from echlab.intlinalg import row_hermite_form
+from echlab.presets_io import SYSTEM_PRESETS, load_system_preset
+from test_intlinalg import smith_normal_form
 
 SQRT2 = make_exact((0, 1, 1, 2))
 ONE = Fraction(1)
@@ -160,6 +163,70 @@ def test_lattice_index_equals_subgroup_order(orders, classes):
         for m2 in range(d1 * d2)
     }
     assert lattice.index == len(subgroup)
+
+
+def smith_kernel_lattice(system):
+    """Oracle: the integer kernel of [class-matrix | diag(orders)] from the
+    Smith form, projected onto the m coordinates and Hermite-reduced."""
+    n = system.n
+    finite = [(j, d) for j, d in enumerate(system.homology.orders) if d != 0]
+    rows = []
+    for k, (j, d) in enumerate(finite):
+        row = [o.homology_class[j] for o in system.orbits]
+        row += [d if t == k else 0 for t in range(len(finite))]
+        rows.append(row)
+    if not rows or n == 0:
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1
+    _, s, v = smith_normal_form(rows)
+    rank = sum(1 for t in range(min(len(rows), len(rows[0]))) if s[t][t] != 0)
+    generators = [[v[i][col] for i in range(n)] for col in range(rank, len(rows[0]))]
+    basis = row_hermite_form(generators)
+    index = 1
+    for i in range(n):
+        index *= basis[i][i]
+    return tuple(tuple(r) for r in basis), index
+
+
+def random_torsion_system(rng):
+    n = rng.randint(1, 4)
+    orders = tuple(rng.choice((0, 1, 2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(rng.randint(0, 3)))
+    classes = [
+        tuple(0 if d == 0 else rng.randint(-2 * d, 2 * d) for d in orders) for _ in range(n)
+    ]
+    orbits = tuple(
+        Orbit(f"o{i}", ELLIPTIC, eta=ONE, phi=SQRT2, homology_class=c)
+        for i, c in enumerate(classes)
+    )
+    linking = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    return OrbitSystem(orbits, linking, Homology(orders))
+
+
+_SCAN_RADIUS = {1: 24, 2: 10, 3: 4, 4: 2}
+
+
+def test_lattice_matches_smith_kernel_oracle():
+    rng = random.Random(9)
+    systems = [load_system_preset(name) for name in SYSTEM_PRESETS]
+    systems += [random_torsion_system(rng) for _ in range(240)]
+    seen = set()
+    for system in systems:
+        lattice = nullhomologous_lattice(system)
+        basis, index = smith_kernel_lattice(system)
+        assert (lattice.basis, lattice.index) == (basis, index)
+        assert row_hermite_form(lattice.basis) == [list(r) for r in lattice.basis]
+        orders = system.homology.orders
+        classes = [o.homology_class for o in system.orbits]
+        radius = _SCAN_RADIUS.get(system.n, 1)
+        for m in product(range(-radius, radius + 1), repeat=system.n):
+            direct = all(
+                d == 0 or sum(mi * c[j] for mi, c in zip(m, classes)) % d == 0
+                for j, d in enumerate(orders)
+            )
+            assert lattice.contains(m) == direct
+        seen.add((system.n, len(orders), 0 in orders, index > 1))
+    assert {n for n, *_ in seen} == {1, 2, 3, 4}
+    assert {k for _, k, *_ in seen} == {0, 1, 2, 3}
+    assert (True, True) in {(infinite, big) for *_, infinite, big in seen}
 
 
 def test_generator_validity():
