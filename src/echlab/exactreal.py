@@ -1,11 +1,15 @@
 """Exact arithmetic for rationals and quadratic irrationals.
 
 Every angle-like constant in this package is either a rational num/den or a
-number (p + q*sqrt(d))/r with arbitrary-precision integers and squarefree
-d >= 2.  Floors of integer multiples, comparisons (including across
-different radicands), and continued-fraction expansions are decided by
-integer arithmetic alone, with math.isqrt supplying the certificates.  No
-floating point enters any code path that affects a result.
+number (p + q*sqrt(d))/r with arbitrary-precision integers and a non-square
+radicand d >= 2, squarefree up to square factors above the trial-division
+bound.  Two radicands span one field exactly when their product is a square
+(same_field); arithmetic, equality, order and hashing rescale such values to
+the smaller radicand, so equal values compare and hash equal whatever the
+radicand.  Floors of integer multiples, comparisons (including across
+different fields), and continued-fraction expansions are decided by integer
+arithmetic alone, with math.isqrt supplying the certificates.  No floating
+point enters any code path that affects a result.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor as _floor_frac
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import MixedFieldError, RefinementError
@@ -22,7 +26,8 @@ RationalLike = Union[int, Fraction]
 
 # Trial-division bound for extracting square factors of the radicand.
 # Complete for d < 1e12; larger d with a prime-square factor beyond the
-# bound is accepted as-is (values stay correct, canonical equality may not).
+# bound is kept as-is, which only affects how a value prints: same_field
+# decides which radicands share a field.
 _SQUAREFREE_TRIAL_LIMIT = 1_000_000
 
 
@@ -50,6 +55,14 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     else:
         f *= n
     return s, f
+
+
+def same_field(d1: int, d2: int) -> bool:
+    """True when sqrt(d1) and sqrt(d2) span one quadratic field: d1*d2 is a
+    square and d1 is not (a square radicand spans no field)."""
+    product = d1 * d2
+    root = isqrt(product)
+    return root * root == product and isqrt(d1) ** 2 != d1
 
 
 def _reduce(p: int, q: int, r: int) -> tuple[int, int, int]:
@@ -166,6 +179,11 @@ class ExactReal:
         p, q, r = _reduce(p, q, r)
         return ExactReal(p, q, r, d if q else 1)
 
+    def over_radicand(self, d: int) -> "ExactReal":
+        """The same irrational value over the radicand d, which must span its
+        field: sqrt(self.d) = isqrt(self.d * d)/d * sqrt(d)."""
+        return ExactReal._in_field(self.num * d, self.q * isqrt(self.d * d), self.den * d, d)
+
     @staticmethod
     def from_json(obj: Mapping) -> "ExactReal":
         kind = obj.get("kind")
@@ -221,17 +239,31 @@ class ExactReal:
     def __neg__(self) -> "ExactReal":
         return ExactReal(-self.num, -self.q, self.den, self.d)
 
+    def _aligned(self, o: "ExactReal") -> tuple["ExactReal", "ExactReal"] | None:
+        """self and o over one radicand (the smaller, when both are irrational
+        with different radicands of one field), or None when they span two
+        fields."""
+        if self.q == 0 or o.q == 0 or self.d == o.d:
+            return self, o
+        if not same_field(self.d, o.d):
+            return None
+        if self.d > o.d:
+            return self.over_radicand(o.d), o
+        return self, o.over_radicand(self.d)
+
     def __add__(self, other) -> "ExactReal":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.q != 0 and o.q != 0 and self.d != o.d:
+        pair = self._aligned(o)
+        if pair is None:
             raise MixedFieldError(f"cannot add sqrt({self.d}) and sqrt({o.d}) values")
-        d = self.d if self.q != 0 else o.d
+        x, o = pair
+        d = x.d if x.q != 0 else o.d
         return ExactReal._in_field(
-            self.num * o.den + o.num * self.den,
-            self.q * o.den + o.q * self.den,
-            self.den * o.den,
+            x.num * o.den + o.num * x.den,
+            x.q * o.den + o.q * x.den,
+            x.den * o.den,
             d,
         )
 
@@ -250,13 +282,15 @@ class ExactReal:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.q != 0 and o.q != 0 and self.d != o.d:
+        pair = self._aligned(o)
+        if pair is None:
             raise MixedFieldError(f"cannot multiply sqrt({self.d}) and sqrt({o.d}) values")
-        d = self.d if self.q != 0 else o.d
+        x, o = pair
+        d = x.d if x.q != 0 else o.d
         return ExactReal._in_field(
-            self.num * o.num + self.q * o.q * d,
-            self.num * o.q + self.q * o.num,
-            self.den * o.den,
+            x.num * o.num + x.q * o.q * d,
+            x.num * o.q + x.q * o.num,
+            x.den * o.den,
             d,
         )
 
@@ -277,9 +311,10 @@ class ExactReal:
         o = self._coerce(other)
         if o is NotImplemented:
             raise TypeError(f"cannot compare ExactReal with {type(other).__name__}")
-        a, b, dx = self.num, self.q, self.d
+        x, o = self._aligned(o) or (self, o)
+        a, b, dx = x.num, x.q, x.d
         c, e, dy = o.num, o.q, o.d
-        r, s = self.den, o.den
+        r, s = x.den, o.den
         # sign of (s a - r c) + s b sqrt(dx) - r e sqrt(dy)
         const = s * a - r * c
         if b == 0 and e == 0:
@@ -295,11 +330,21 @@ class ExactReal:
     def __eq__(self, other) -> bool:
         if not isinstance(other, (ExactReal, int, Fraction)):
             return NotImplemented
-        o = self._coerce(other)
-        return (self.num, self.q, self.den, self.d) == (o.num, o.q, o.den, o.d)
+        pair = self._aligned(self._coerce(other))
+        if pair is None:
+            return False
+        x, o = pair
+        return x.num == o.num and x.q == o.q and x.den == o.den and x.d == o.d
 
     def __hash__(self) -> int:
-        return hash((self.num, self.q, self.den, self.d))
+        if self.q == 0:
+            return hash((self.num, 0, self.den, 1))
+        # the rational part is the same over every radicand of the field,
+        # since 1 and sqrt(d) are linearly independent over Q; so are the
+        # sign and the square of the irrational part, which mark the value
+        g = gcd(self.num, self.den)
+        marker = self.q * self.q * self.d // (self.den * self.den)
+        return hash((self.num // g, self.den // g, self.q > 0, marker))
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
@@ -486,35 +531,41 @@ def convergents(quotients: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def floor_radical_sum(rational: Fraction, radicals: Iterable[tuple[Fraction, int]]) -> int:
+def floor_radical_sum(rational: RationalLike, radicals: Iterable[tuple[RationalLike, int]]) -> int:
     """floor(rational + sum c*sqrt(d)) with certified refinement.
 
-    The d's must be squarefree and >= 2.  Terminates because a nonzero
-    rational combination of square roots of distinct squarefree integers is
-    irrational; when every coefficient is zero the plain rational floor is
-    returned.
+    The d's must be non-square, no two of them in one field (same_field).
+    Terminates because a nonzero rational combination of square roots of
+    such integers is irrational; when every coefficient is zero the plain rational floor is
+    returned.  Denominators are cleared once to a common R, and each round
+    encloses R*value*2^bits between integers: floor(|B| sqrt(d) 2^bits) is
+    isqrt(B^2 d 4^bits) for each integer coefficient B.
     """
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, RationalLike] = {}
     for coeff, d in radicals:
         if coeff:
-            terms[d] = terms.get(d, Fraction(0)) + coeff
-    terms = {d: c for d, c in terms.items() if c}
-    if not terms:
+            terms[d] = terms.get(d, 0) + coeff
+    den = rational.denominator
+    for c in terms.values():
+        den = lcm(den, c.denominator)
+    base = rational.numerator * (den // rational.denominator)
+    coeffs = [(c.numerator * (den // c.denominator), d) for d, c in terms.items() if c]
+    if not coeffs:
         return _floor_frac(rational)
     bits = 32
     while bits <= 1 << 20:
-        scale = 1 << bits
-        lo = hi = rational
-        for d, c in terms.items():
-            t = isqrt(d * scale * scale)
-            if c > 0:
-                lo += c * Fraction(t, scale)
-                hi += c * Fraction(t + 1, scale)
+        lo = hi = base << bits
+        for b, d in coeffs:
+            t = isqrt(b * b * d << 2 * bits)  # floor(|b| sqrt(d) 2^bits)
+            if b > 0:
+                lo += t
+                hi += t + 1
             else:
-                lo += c * Fraction(t + 1, scale)
-                hi += c * Fraction(t, scale)
-        f_lo, f_hi = _floor_frac(lo), _floor_frac(hi)
-        if f_lo == f_hi:
+                lo -= t + 1
+                hi -= t
+        scale = den << bits
+        f_lo = lo // scale
+        if f_lo == hi // scale:
             return f_lo
         bits *= 2
     raise RefinementError("radical sum refinement did not converge")

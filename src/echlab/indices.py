@@ -13,6 +13,18 @@ quadratic form approximating I, an exact integer envelope for I, and the
 per-curve bounds (intersection bound, genus budget, cylinder criterion).
 Everything is computed in exact integer arithmetic.  I is evaluated by
 index_formula alone, and J0 as I minus the closed-form difference.
+
+Every checked call (ech_index, j0_index, index_identity_residual,
+index_envelope, index_report) and qbar read one CompiledSystem, built once
+per system by compile_system behind the package's one per-system cache.  It
+holds the elliptic flags, 2*eta from doubled_eta (or the error it raised,
+re-raised only for an orbit with nonzero multiplicity), the linking rows,
+the nullhomologous lattice, and each phi as integers (P, Q, d) over one
+common denominator R, with every radicand of one field rescaled to the
+field's smallest.  qbar and the envelope are integer sums over R.  qbar is
+defined exactly when the irrational phi_i with m_i != 0 lie in one field,
+whatever the orbit order; otherwise it raises MixedFieldError and
+index_report gives None.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -27,6 +40,7 @@ from .errors import (
     HyperbolicOrbitError,
     IndexParityError,
     MixedFieldError,
+    NonTorsionClassError,
     NotNullhomologousError,
     RefinementError,
 )
@@ -37,8 +51,15 @@ from .exactreal import (
     floor_radical_sum,
     floor_sum,
     multiple_is_integral,
+    same_field,
 )
-from .orbits import Generator, OrbitSystem, is_valid_generator, nullhomologous_lattice
+from .orbits import (
+    Generator,
+    NullLattice,
+    OrbitSystem,
+    is_valid_generator,
+    nullhomologous_lattice,
+)
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -96,51 +117,134 @@ def index_residual(system: OrbitSystem, m: Sequence[int], two_eta: Sequence[int]
     return total
 
 
-def _check_generator(system: OrbitSystem, m: Sequence[int]) -> tuple[Generator, list[int]]:
-    """The generator as a tuple, with 2*eta per orbit (0 where m_i = 0)."""
-    m = tuple(int(v) for v in m)
+@dataclass(frozen=True, slots=True, eq=False)
+class CompiledSystem:
+    """What every checked index call reads of one system, built once.
+
+    two_eta[i] is doubled_eta of orbit i, or 0 when it has none.  faults
+    lists, in orbit order, the orbits a nonzero multiplicity may not touch:
+    the hyperbolic ones, and those whose doubled_eta raises.  phi[i] is
+    (P, Q, d) with phi_i = (P + Q sqrt(d))/denominator, one d per field (the
+    smallest radicand of the system in it), or None for an orbit without
+    phi.  lattice is None when nullhomologous_lattice raises.
+    """
+
+    elliptic: tuple[bool, ...]
+    two_eta: tuple[int, ...]
+    faults: tuple[int, ...]
+    phi: tuple[tuple[int, int, int] | None, ...]
+    denominator: int
+    linking: tuple[tuple[int, ...], ...]
+    lattice: NullLattice | None
+
+
+@lru_cache(maxsize=256)
+def compile_system(system: OrbitSystem) -> CompiledSystem:
+    """The system's CompiledSystem; the one per-system cache of the package.
+
+    Nothing is raised here: _check_generator repeats a failing step when a
+    generator reaches it, so each error keeps its place in the check order.
+    """
+    elliptic = tuple(orbit.is_elliptic() for orbit in system.orbits)
+    two_eta: list[int] = []
+    faults: list[int] = []
+    for i, orbit in enumerate(system.orbits):
+        doubled = 0
+        if elliptic[i]:
+            try:
+                doubled = doubled_eta(orbit)
+            except (ValueError, AttributeError):  # raised again by a call with m_i != 0
+                faults.append(i)
+        else:
+            faults.append(i)
+        two_eta.append(doubled)
+    phis = [orbit.phi if e else None for orbit, e in zip(system.orbits, elliptic)]
+    field: dict[int, int] = {}  # radicand -> the smallest radicand of its field
+    for d in sorted({phi.d for phi in phis if phi is not None and phi.q}):
+        field[d] = next((e for e in field.values() if same_field(e, d)), d)
+    phis = [
+        phi.over_radicand(field[phi.d]) if phi is not None and phi.q and field[phi.d] != phi.d
+        else phi
+        for phi in phis
+    ]
+    den = lcm(*(phi.den for phi in phis if phi is not None))
+    try:
+        lattice = nullhomologous_lattice(system)
+    except (NonTorsionClassError, IndexError):  # raised again once the generator checks pass
+        lattice = None
+    return CompiledSystem(
+        elliptic=elliptic,
+        two_eta=tuple(two_eta),
+        faults=tuple(faults),
+        phi=tuple(
+            None if phi is None else (phi.num * (den // phi.den), phi.q * (den // phi.den), phi.d)
+            for phi in phis
+        ),
+        denominator=den,
+        linking=system.linking,
+        lattice=lattice,
+    )
+
+
+def _check_generator(system: OrbitSystem, m: Sequence[int]) -> tuple[Generator, CompiledSystem]:
+    """The generator as a tuple, with the system's compiled record.  Raises,
+    in this order: an invalid generator, then per orbit with m_i != 0 a
+    hyperbolic orbit or eta outside (1/2)Z, then the lattice's errors."""
+    compiled = compile_system(system)
+    m = tuple(map(int, m))
     if not is_valid_generator(system, m):
         raise ValueError(f"invalid generator multiplicities {m}")
-    two_eta = []
-    for orbit, mult in zip(system.orbits, m):
-        if mult > 0 and not orbit.is_elliptic():
-            raise HyperbolicOrbitError(
-                f"orbit {orbit.name} is hyperbolic; index formulas need elliptic orbits"
-            )
-        two_eta.append(doubled_eta(orbit) if mult else 0)
-    if not nullhomologous_lattice(system).contains(m):
+    for i in compiled.faults:
+        if m[i]:
+            orbit = system.orbits[i]
+            if not compiled.elliptic[i]:
+                raise HyperbolicOrbitError(
+                    f"orbit {orbit.name} is hyperbolic; index formulas need elliptic orbits"
+                )
+            doubled_eta(orbit)  # raises, as it did when the record was built
+    lattice = compiled.lattice or nullhomologous_lattice(system)  # the latter raises
+    if not lattice.contains(m):
         raise NotNullhomologousError(f"generator {m} is not nullhomologous")
-    return m, two_eta
+    return m, compiled
 
 
-def _index(system: OrbitSystem, m: Generator, two_eta: list[int]) -> int:
-    """I on a checked generator; an odd value means inconsistent eta."""
-    prefixes = [
-        {mult: _floor_prefix(orbit.phi, mult)} if mult else None
-        for orbit, mult in zip(system.orbits, m)
-    ]
+def _index(system: OrbitSystem, m: Generator, two_eta: Sequence[int]) -> tuple[int, int]:
+    """I on a checked generator, and 2 sum F_i(m_i), the part of I that its
+    floors contribute; an odd I means inconsistent eta."""
+    prefixes = []
+    floors = 0
+    for orbit, mult in zip(system.orbits, m):
+        if mult:
+            value = _floor_prefix(orbit.phi, mult)
+            floors += value
+            prefixes.append({mult: value})
+        else:
+            prefixes.append(None)
     total = index_formula(system, m, two_eta, prefixes)
     if total % 2:
         raise IndexParityError(
             f"index {total} is odd for all-elliptic generator {m}; eta inputs inconsistent"
         )
-    return total
+    return total, 2 * floors
 
 
 def ech_index(system: OrbitSystem, m: Sequence[int]) -> int:
     """Absolute ECH index; an even integer, with I(empty) = 0."""
-    return _index(system, *_check_generator(system, m))
+    m, compiled = _check_generator(system, m)
+    return _index(system, m, compiled.two_eta)[0]
 
 
 def j0_index(system: OrbitSystem, m: Sequence[int]) -> int:
     """Absolute J0 index, with J0(empty) = 0, as I minus the closed form I - J0."""
-    m, two_eta = _check_generator(system, m)
-    return _index(system, m, two_eta) - index_residual(system, m, two_eta)
+    m, compiled = _check_generator(system, m)
+    value_i = _index(system, m, compiled.two_eta)[0]
+    return value_i - index_residual(system, m, compiled.two_eta)
 
 
 def index_identity_residual(system: OrbitSystem, m: Sequence[int]) -> int:
     """Closed form for I - J0: sum m_i(4 eta_i - 2) + 2 sum floor(m_i phi_i) + #nonzero."""
-    return index_residual(system, *_check_generator(system, m))
+    m, compiled = _check_generator(system, m)
+    return index_residual(system, m, compiled.two_eta)
 
 
 def mod2_grading(system: OrbitSystem, m: Sequence[int]) -> int:
@@ -159,24 +263,44 @@ def mod2_grading(system: OrbitSystem, m: Sequence[int]) -> int:
 def qbar(system: OrbitSystem, m: Sequence) -> ExactReal:
     """Quadratic form sum m_i^2 phi_i + sum_{i != j} m_i m_j Q_ij, exactly.
 
-    Accepts integer or rational multiplicities.  Raises MixedFieldError when
-    the participating phi values live in different quadratic fields.
+    Accepts integer or rational multiplicities.  Raises HyperbolicOrbitError
+    when an orbit without phi has m_i != 0, then MixedFieldError when the
+    irrational phi_i with m_i != 0 lie in two or more quadratic fields.
+    Rational m is scaled to integers w = scale * m, and Qbar(m) is
+    Qbar(w)/scale^2.
     """
     if len(m) != system.n:
         raise ValueError("dimension mismatch")
-    weights = [Fraction(v) for v in m]
-    total = ExactReal.from_rational(0)
-    for orbit, w in zip(system.orbits, weights):
-        if w == 0:
+    compiled = compile_system(system)
+    scale = 1
+    if not all(type(v) is int for v in m):
+        weights = [Fraction(v) for v in m]
+        scale = lcm(*(w.denominator for w in weights))
+        m = [w.numerator * (scale // w.denominator) for w in weights]
+    n = len(m)
+    rational = radical = cross = 0
+    field = None
+    mixed = False
+    for i in range(n):
+        w = m[i]
+        if not w:
             continue
-        if not orbit.is_elliptic():
-            raise HyperbolicOrbitError(f"orbit {orbit.name} is hyperbolic; qbar needs phi")
-        total = total + orbit.phi * (w * w)
-    cross = Fraction(0)
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            cross += 2 * weights[i] * weights[j] * system.linking[i][j]
-    return total + cross
+        if not compiled.elliptic[i]:
+            raise HyperbolicOrbitError(f"orbit {system.orbits[i].name} is hyperbolic; qbar needs phi")
+        p, q, d = compiled.phi[i]
+        rational += w * w * p
+        if q:
+            radical += w * w * q
+            mixed = mixed or (field is not None and d != field)
+            field = d
+        row = compiled.linking[i]
+        for j in range(i + 1, n):
+            if m[j]:
+                cross += w * m[j] * row[j]
+    if mixed:
+        raise MixedFieldError("the irrational phi_i with m_i != 0 span several quadratic fields")
+    den = compiled.denominator
+    return ExactReal._in_field(rational + 2 * cross * den, radical, den * scale * scale, field or 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,26 +385,29 @@ def index_envelope(system: OrbitSystem, m: Sequence[int]) -> tuple[int, int]:
     2S - 2|m| < I <= 2S with S the formula's floor-free evaluation; the
     bounds are rounded outward with a certified multi-radical floor.
     """
-    return _envelope(system, *_check_generator(system, m))
+    m, compiled = _check_generator(system, m)
+    # the formula with every floor prefix F_i(m_i) read as 0
+    floor_free = index_formula(system, m, compiled.two_eta, [{mult: 0} for mult in m])
+    return _envelope(m, compiled, floor_free)
 
 
-def _envelope(system: OrbitSystem, m: Generator, two_eta: list[int]) -> tuple[int, int]:
+def _envelope(m: Generator, compiled: CompiledSystem, floor_free: int) -> tuple[int, int]:
+    """The envelope from the formula's value with every floor F_i(m_i) read as 0."""
     total_mult = sum(m)
     if total_mult == 0:
         return (0, 0)
-    # the formula with every floor prefix F_i(m_i) read as 0
-    integer_part = index_formula(system, m, two_eta, [{mult: 0} for mult in m])
-    rational_part = Fraction(0)
-    radicals: list[tuple[Fraction, int]] = []
-    for orbit, mult in zip(system.orbits, m):
-        if mult == 0:
-            continue
-        rat, coeff, d = orbit.phi.decompose()
-        weight = mult * (mult + 1)
-        rational_part += rat * weight
-        if coeff:
-            radicals.append((coeff * weight, d))
-    hi = integer_part + floor_radical_sum(rational_part, radicals)
+    # sum m_i(m_i + 1) phi_i = (rational + sum radical_d sqrt(d))/R, and for
+    # an integer R > 0, floor(x/R) = floor(floor(x)/R)
+    rational = 0
+    radicals = []
+    for mult, phi in zip(m, compiled.phi):
+        if mult:
+            p, q, d = phi
+            weight = mult * (mult + 1)
+            rational += p * weight
+            if q:
+                radicals.append((q * weight, d))
+    hi = floor_free + floor_radical_sum(rational, radicals) // compiled.denominator
     lo = hi - 2 * total_mult + 1
     return (lo, hi)
 
@@ -306,19 +433,20 @@ class IndexReport:
 
 
 def index_report(system: OrbitSystem, m: Sequence[int]) -> IndexReport:
-    """Full report; qbar is omitted (None) when phis span mixed fields."""
-    m, two_eta = _check_generator(system, m)
-    value_i = _index(system, m, two_eta)
+    """Full report; qbar is None when the irrational phi_i with m_i != 0 span
+    two or more fields."""
+    m, compiled = _check_generator(system, m)
+    value_i, floors = _index(system, m, compiled.two_eta)
     try:
         q = qbar(system, m)
     except MixedFieldError:
         q = None
     return IndexReport(
         I=value_i,
-        J0=value_i - index_residual(system, m, two_eta),
+        J0=value_i - index_residual(system, m, compiled.two_eta),
         mod2=0,  # every orbit a checked generator covers is elliptic
         qbar=q,
-        envelope=_envelope(system, m, two_eta),
+        envelope=_envelope(m, compiled, value_i - floors),
     )
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
@@ -161,7 +160,6 @@ class NullLattice:
         return all(v == 0 for v in residual)
 
 
-@lru_cache(maxsize=256)
 def nullhomologous_lattice(system: OrbitSystem) -> NullLattice:
     """Solve sum_i m_i [gamma_i] = 0 in H1 over the integers.
 
@@ -187,9 +185,7 @@ def is_valid_generator(system: OrbitSystem, m: Sequence[int]) -> bool:
     if len(m) != system.n:
         raise ValueError("dimension mismatch")
     for orbit, mult in zip(system.orbits, m):
-        if mult < 0:
-            return False
-        if not orbit.is_elliptic() and mult > 1:
+        if mult < 0 or (mult > 1 and orbit.kind != ELLIPTIC):
             return False
     return True
 

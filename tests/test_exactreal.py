@@ -20,6 +20,7 @@ from echlab.exactreal import (
     floor_sum,
     make_exact,
     multiple_is_integral,
+    same_field,
 )
 
 SQRT2 = make_exact((0, 1, 1, 2))
@@ -220,6 +221,60 @@ def test_mixed_field_arithmetic_is_refused():
         _ = SQRT2 * SQRT3
     # comparison across fields stays legal
     assert SQRT2 < SQRT3
+
+
+# -- one field, several radicands -------------------------------------------
+
+# primes above the trial-division bound, so their squares stay in a radicand
+LARGE_PRIMES = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
+
+
+def test_equal_values_over_different_radicands():
+    s, f = 1000003, 1000033
+    x = ExactReal.from_quadratic(0, 1, 1, s * s * f)  # sqrt(s^2 f), unsplit
+    y = ExactReal.from_quadratic(0, s, 1, f)
+    assert x.d == s * s * f and y.d == f
+    assert x == y and hash(x) == hash(y)
+    assert compare(x, y) == 0 and not x < y and x <= y
+    assert (x + y) == ExactReal.from_quadratic(0, 2 * s, 1, f)
+    assert (x - y).is_zero()
+    assert x * y == s * s * f
+    assert same_field(x.d, y.d) and not same_field(2, 3)
+    assert not same_field(4, 64)  # square radicands span no field
+
+
+def _over_large_radicands():
+    """(v, v over s^2 d, v over t^2 d) for an irrational v in Q(sqrt d) and
+    primes s, t whose squares the radicand keeps: radicands above 10^12."""
+    return st.builds(
+        lambda v, s, t: (v, v.over_radicand(s * s * v.d), v.over_radicand(t * t * v.d)),
+        quadratics(30),
+        st.sampled_from(LARGE_PRIMES),
+        st.sampled_from(LARGE_PRIMES),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_over_large_radicands(), quadratics(30))
+def test_large_radicands_of_one_field_agree(triple, other):
+    v, x, y = triple
+    assert x.d > 10**12 and y.d > 10**12
+    assert x == v == y and hash(x) == hash(v) == hash(y)
+    assert compare(x, y) == 0 and compare(x, v) == 0
+    assert (x - y).is_zero()
+    assert x + y == v + v and x * y == v * v
+    assert min(x.d, y.d) == (x + y).d or (x + y).is_rational()
+    # against a value of the small field, or of another field
+    w = other.over_radicand(LARGE_PRIMES[0] ** 2 * other.d)
+    assert compare(x, w) == compare(v, other) == compare(y, other)
+    if same_field(v.d, other.d):
+        assert x + w == v + other and x * w == v * other
+    else:
+        with pytest.raises(MixedFieldError):
+            _ = x + w
+        with pytest.raises(MixedFieldError):
+            _ = x * w
+        assert x != w
 
 
 def test_reciprocal():

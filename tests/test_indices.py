@@ -4,7 +4,7 @@ quadrant certificates, and the per-curve bounds."""
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +15,11 @@ from echlab.errors import (
     HyperbolicOrbitError,
     IndexParityError,
     MixedFieldError,
+    NonTorsionClassError,
     NotNullhomologousError,
     RefinementError,
 )
-from echlab.exactreal import ExactReal, floor_sum, make_exact
+from echlab.exactreal import ExactReal, floor_radical_sum, floor_sum, make_exact
 from echlab.indices import (
     CYLINDER,
     INFEASIBLE,
@@ -26,11 +27,14 @@ from echlab.indices import (
     End,
     EndData,
     QuadrantCertificate,
+    compile_system,
     conley_zehnder,
     cylinder_criterion,
+    doubled_eta,
     ech_index,
     genus_bound,
     index_envelope,
+    index_formula,
     index_identity_residual,
     index_report,
     intersection_bound,
@@ -39,7 +43,14 @@ from echlab.indices import (
     qbar,
     qbar_quadrant_positive,
 )
-from echlab.orbits import ELLIPTIC, POSITIVE_HYPERBOLIC, Homology, Orbit, OrbitSystem
+from echlab.orbits import (
+    ELLIPTIC,
+    POSITIVE_HYPERBOLIC,
+    Homology,
+    Orbit,
+    OrbitSystem,
+    nullhomologous_lattice,
+)
 from echlab.presets_io import load_system_preset
 
 SQRT2 = make_exact((0, 1, 1, 2))
@@ -487,3 +498,259 @@ def test_index_report_bundles_everything():
     n3_report = index_report(load_system_preset("n3"), (1, 1, 1))
     assert n3_report.qbar is None  # mixed fields
     assert n3_report.I == ech_index(load_system_preset("n3"), (1, 1, 1))
+
+
+def test_qbar_field_rule_is_order_free():
+    # 1+sqrt2 and 3-sqrt2 cancel to a rational, but with 1+sqrt3 the three
+    # irrational phis span two fields: no qbar, whichever order the orbits have
+    phis = [(1, 1, 1, 2), (3, -1, 1, 2), (1, 1, 1, 3)]
+    for order in ((0, 1, 2), (0, 2, 1), (2, 1, 0)):
+        system = make_system([phis[i] for i in order], q=[[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        with pytest.raises(MixedFieldError):
+            qbar(system, (1, 1, 1))
+        report = index_report(system, (1, 1, 1))
+        assert report.qbar is None
+        assert report.I == ech_index(system, (1, 1, 1))
+    # one field: the cancelled sum is rational
+    system = make_system(phis[:2], q=[[0, 1], [1, 0]])
+    assert qbar(system, (1, 1)) == make_exact(4 + 2)
+
+
+def test_qbar_groups_radicands_of_one_field():
+    # 1000003 is prime and above the trial-division bound, so the first phi
+    # keeps the radicand 1000003^2 * 1000033; it lies in Q(sqrt 1000033)
+    s, f = 1000003, 1000033
+    big = ExactReal(1, 1, 2, s * s * f)
+    small = make_exact((0, 3, 1, f))
+    system = OrbitSystem(
+        (Orbit("a", ELLIPTIC, eta=ONE, phi=big), Orbit("b", ELLIPTIC, eta=ONE, phi=small)),
+        ((0, -1), (-1, 0)),
+        Homology(),
+    )
+    for m in ((1, 0), (0, 2), (3, 5), (40, 7)):
+        expected = big * (m[0] * m[0]) + small * (m[1] * m[1]) - 2 * m[0] * m[1]
+        assert qbar(system, m) == expected
+        assert index_report(system, m).qbar == expected
+        assert index_envelope(system, m) == _envelope_oracle(system, m)
+
+
+def test_one_per_system_cache():
+    assert compile_system.cache_info().maxsize == 256
+    assert not hasattr(nullhomologous_lattice, "cache_info")
+    system = load_system_preset("lens3")
+    assert compile_system(system) is compile_system(system)
+    assert compile_system(system).lattice == nullhomologous_lattice(system)
+
+
+# -- the Fraction-based evaluators the compiled kernel replaced, as oracles ---
+
+
+def _floor_radical_sum_oracle(rational, radicals):
+    """floor(rational + sum c*sqrt(d)) refined over Fractions at 2^-bits."""
+    terms = {}
+    for coeff, d in radicals:
+        if coeff:
+            terms[d] = terms.get(d, Fraction(0)) + coeff
+    terms = {d: c for d, c in terms.items() if c}
+    if not terms:
+        return rational.numerator // rational.denominator
+    bits = 32
+    while bits <= 1 << 20:
+        scale = 1 << bits
+        lo = hi = Fraction(rational)
+        for d, c in terms.items():
+            t = isqrt(d * scale * scale)
+            if c > 0:
+                lo += c * Fraction(t, scale)
+                hi += c * Fraction(t + 1, scale)
+            else:
+                lo += c * Fraction(t + 1, scale)
+                hi += c * Fraction(t, scale)
+        f_lo, f_hi = lo.numerator // lo.denominator, hi.numerator // hi.denominator
+        if f_lo == f_hi:
+            return f_lo
+        bits *= 2
+    raise RefinementError("radical sum refinement did not converge")
+
+
+def _qbar_oracle(system, m):
+    """A running ExactReal sum of m_i^2 phi_i plus the Fraction cross term,
+    after the order-free rule: the irrational phi_i with m_i != 0 must lie
+    in one field (the systems here have squarefree radicands)."""
+    weights = [Fraction(v) for v in m]
+    fields = {o.phi.d for o, w in zip(system.orbits, weights) if w and o.phi.q}
+    if len(fields) > 1:
+        raise MixedFieldError("mixed fields")
+    total = ExactReal.from_rational(0)
+    for orbit, w in zip(system.orbits, weights):
+        if w:
+            total = total + orbit.phi * (w * w)
+    cross = Fraction(0)
+    for i in range(system.n):
+        for j in range(i + 1, system.n):
+            cross += 2 * weights[i] * weights[j] * system.linking[i][j]
+    return total + cross
+
+
+def _envelope_oracle(system, m):
+    """hi = (the formula with floors read as 0) + floor(sum m_i(m_i + 1) phi_i)
+    over Fractions; lo = hi - 2|m| + 1."""
+    if sum(m) == 0:
+        return (0, 0)
+    two_eta = [doubled_eta(o) if v else 0 for o, v in zip(system.orbits, m)]
+    integer_part = index_formula(system, m, two_eta, [{v: 0} for v in m])
+    rational = Fraction(0)
+    radicals = []
+    for orbit, v in zip(system.orbits, m):
+        if v:
+            rat, coeff, d = orbit.phi.decompose()
+            rational += rat * v * (v + 1)
+            if coeff:
+                radicals.append((coeff * v * (v + 1), d))
+    hi = integer_part + _floor_radical_sum_oracle(rational, radicals)
+    return (hi - 2 * sum(m) + 1, hi)
+
+
+def _random_kernel_system(rng):
+    """n = 2..4 elliptic orbits over one field, mixed fields, or with rational
+    phis; integer eta; random linking; half of them with a Z/k torsion H1."""
+    n = rng.randint(2, 4)
+    kind = rng.choice(("shared", "mixed", "with-rational"))
+    if kind == "shared":
+        fields = [rng.choice((2, 3, 5, 7))] * n
+    elif kind == "mixed":
+        fields = [rng.choice((2, 3, 5, 7)) for _ in range(n)]
+    else:
+        fields = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
+    phis = [(rng.randint(-3, 9), rng.choice((-3, -2, -1, 1, 2, 3)) * (d != 1), rng.randint(1, 4), d)
+            for d in fields]
+    linking = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            linking[i][j] = linking[j][i] = rng.randint(-3, 3)
+    if rng.random() < 0.5:
+        k = rng.randint(2, 4)
+        return make_system(phis, linking, etas=[Fraction(rng.randint(-2, 3)) for _ in range(n)],
+                           homology=(k,), classes=[(rng.randrange(k),) for _ in range(n)])
+    return make_system(phis, linking, etas=[Fraction(rng.randint(-2, 3)) for _ in range(n)])
+
+
+def _random_generator(rng, system):
+    top = rng.choice((6, 50, 10**6))
+    m = [rng.randint(0, top) if rng.random() < 0.8 else 0 for _ in range(system.n)]
+    if system.homology.orders and rng.random() < 0.8:  # snap onto the lattice
+        k = system.homology.orders[0]
+        classes = [o.homology_class[0] for o in system.orbits]
+        residue = sum(v * c for v, c in zip(m, classes)) % k
+        for i in reversed(range(system.n)):
+            c = classes[i]
+            for step in range(k):
+                if (residue + step * c) % k == 0:
+                    m[i] += step
+                    residue = 0
+                    break
+            if residue == 0:
+                break
+    return tuple(m)
+
+
+def test_kernel_matches_fraction_oracles():
+    rng = random.Random(10)
+    seen = set()
+    for _ in range(150):
+        system = _random_kernel_system(rng)
+        for _ in range(6):
+            m = _random_generator(rng, system)
+            try:
+                expected_qbar = _qbar_oracle(system, m)
+            except MixedFieldError:
+                expected_qbar = None
+            if not nullhomologous_lattice(system).contains(m):
+                with pytest.raises(NotNullhomologousError):
+                    index_report(system, m)
+                seen.add("not-nullhomologous")
+                continue
+            report = index_report(system, m)
+            assert report.qbar == expected_qbar, (system, m)
+            assert report.envelope == _envelope_oracle(system, m) == index_envelope(system, m)
+            assert report.envelope[0] <= report.I <= report.envelope[1]
+            seen.add("mixed" if expected_qbar is None else "one-field")
+            if max(m) > 10**5:
+                seen.add("large-m")
+            if system.homology.orders:
+                seen.add("torsion")
+            # rational multiplicities reach the public qbar only
+            w = [Fraction(v, rng.randint(1, 5)) for v in m]
+            if expected_qbar is None:
+                with pytest.raises(MixedFieldError):
+                    qbar(system, w)
+            else:
+                assert qbar(system, w) == _qbar_oracle(system, w), (system, w)
+    assert seen == {"mixed", "one-field", "large-m", "torsion", "not-nullhomologous"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fractions(min_value=-50, max_value=50),
+    st.lists(
+        st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=30),
+                  st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13])),
+        max_size=4,
+    ),
+)
+def test_floor_radical_sum_matches_fraction_oracle(rational, radicals):
+    assert floor_radical_sum(rational, radicals) == _floor_radical_sum_oracle(rational, radicals)
+
+
+# -- the checked entry points raise in one order ------------------------------
+
+# orbits: a (class 1), h (hyperbolic), b (eta = 1/3, not in Z/2),
+# c (eta = 1/2: odd index), d (class 1); H1 is Z/2 or Z
+_ORBITS = {
+    "a": Orbit("a", ELLIPTIC, eta=ONE, phi=SQRT2, homology_class=(1,)),
+    "h": Orbit("h", POSITIVE_HYPERBOLIC, homology_class=(0,)),
+    "b": Orbit("b", ELLIPTIC, eta=Fraction(1, 3), phi=make_exact((0, 1, 1, 3)),
+               homology_class=(0,)),
+    "c": Orbit("c", ELLIPTIC, eta=Fraction(1, 2), phi=make_exact((0, 1, 1, 5)),
+               homology_class=(0,)),
+    "d": Orbit("d", ELLIPTIC, eta=ONE, phi=make_exact((1, 1, 2, 5)), homology_class=(1,)),
+}
+
+
+def _error_system(names, orders=(2,)):
+    orbits = tuple(_ORBITS[name] for name in names)
+    n = len(orbits)
+    return OrbitSystem(orbits, tuple((0,) * n for _ in range(n)), Homology(orders))
+
+
+_ENTRY_POINTS = [ech_index, j0_index, index_identity_residual, index_envelope, index_report]
+_PARITY_CHECKED = {ech_index, j0_index, index_report}
+_ERROR_CASES = [
+    # (orbits, H1 orders, m, error, message) in the order the checks run
+    ("ahbc", (2,), (1, 2, 1, 1), ValueError, "invalid generator"),
+    ("ahbc", (2,), (1, 0, 0), ValueError, "dimension mismatch"),
+    ("ahbc", (2,), (-1, 0, 0, 0), ValueError, "invalid generator"),
+    ("ahbc", (2,), (1, 1, 1, 1), HyperbolicOrbitError, "orbit h is hyperbolic"),
+    ("bhac", (2,), (1, 1, 1, 1), ValueError, r"orbit b: eta must lie in \(1/2\)Z"),
+    ("ahbc", (2,), (1, 0, 1, 1), ValueError, r"orbit b: eta must lie in \(1/2\)Z"),
+    ("ahbc", (2,), (1, 0, 0, 0), NotNullhomologousError, "not nullhomologous"),
+    ("ahbd", (0,), (1, 0, 0, 1), NonTorsionClassError, "orbit a is not torsion"),
+    ("ahbd", (0,), (1, 1, 0, 0), HyperbolicOrbitError, "orbit h is hyperbolic"),
+    ("ahbc", (2,), (2, 0, 0, 1), IndexParityError, "is odd"),
+    ("ahbc", (2,), (2, 1, 0, 0), HyperbolicOrbitError, "orbit h is hyperbolic"),
+    ("ahbc", (2,), (4, 0, 0, 0), None, None),  # the bad eta of b has m_b = 0
+]
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("names, orders, m, error, message", _ERROR_CASES)
+def test_checked_entry_points_raise_in_order(entry, names, orders, m, error, message):
+    system = _error_system(names, orders)
+    if error is IndexParityError and entry not in _PARITY_CHECKED:
+        error = None  # the residual and the envelope do not evaluate I
+    for _ in range(2):  # the second call reads the cached record
+        if error is None:
+            entry(system, m)
+        else:
+            with pytest.raises(error, match=message):
+                entry(system, m)
