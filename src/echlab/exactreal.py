@@ -343,8 +343,9 @@ class ExactReal:
         # since 1 and sqrt(d) are linearly independent over Q; so are the
         # sign and the square of the irrational part, which mark the value
         g = gcd(self.num, self.den)
-        marker = self.q * self.q * self.d // (self.den * self.den)
-        return hash((self.num // g, self.den // g, self.q > 0, marker))
+        square, den2 = self.q * self.q * self.d, self.den * self.den
+        h = gcd(square, den2)
+        return hash((self.num // g, self.den // g, self.q > 0, square // h, den2 // h))
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0

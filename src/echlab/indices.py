@@ -208,36 +208,30 @@ def _check_generator(system: OrbitSystem, m: Sequence[int]) -> tuple[Generator, 
     return m, compiled
 
 
-def _index(system: OrbitSystem, m: Generator, two_eta: Sequence[int]) -> tuple[int, int]:
-    """I on a checked generator, and 2 sum F_i(m_i), the part of I that its
-    floors contribute; an odd I means inconsistent eta."""
-    prefixes = []
-    floors = 0
-    for orbit, mult in zip(system.orbits, m):
-        if mult:
-            value = _floor_prefix(orbit.phi, mult)
-            floors += value
-            prefixes.append({mult: value})
-        else:
-            prefixes.append(None)
+def _index(system: OrbitSystem, m: Generator, two_eta: Sequence[int]) -> int:
+    """I on a checked generator; an odd value means inconsistent eta."""
+    prefixes = [
+        {mult: _floor_prefix(orbit.phi, mult)} if mult else None
+        for orbit, mult in zip(system.orbits, m)
+    ]
     total = index_formula(system, m, two_eta, prefixes)
     if total % 2:
         raise IndexParityError(
             f"index {total} is odd for all-elliptic generator {m}; eta inputs inconsistent"
         )
-    return total, 2 * floors
+    return total
 
 
 def ech_index(system: OrbitSystem, m: Sequence[int]) -> int:
     """Absolute ECH index; an even integer, with I(empty) = 0."""
     m, compiled = _check_generator(system, m)
-    return _index(system, m, compiled.two_eta)[0]
+    return _index(system, m, compiled.two_eta)
 
 
 def j0_index(system: OrbitSystem, m: Sequence[int]) -> int:
     """Absolute J0 index, with J0(empty) = 0, as I minus the closed form I - J0."""
     m, compiled = _check_generator(system, m)
-    value_i = _index(system, m, compiled.two_eta)[0]
+    value_i = _index(system, m, compiled.two_eta)
     return value_i - index_residual(system, m, compiled.two_eta)
 
 
@@ -271,7 +265,11 @@ def qbar(system: OrbitSystem, m: Sequence) -> ExactReal:
     """
     if len(m) != system.n:
         raise ValueError("dimension mismatch")
-    compiled = compile_system(system)
+    return _qbar(system, compile_system(system), m)
+
+
+def _qbar(system: OrbitSystem, compiled: CompiledSystem, m: Sequence) -> ExactReal:
+    """qbar over the system's compiled record, on m of the system's length."""
     scale = 1
     if not all(type(v) is int for v in m):
         weights = [Fraction(v) for v in m]
@@ -385,17 +383,15 @@ def index_envelope(system: OrbitSystem, m: Sequence[int]) -> tuple[int, int]:
     2S - 2|m| < I <= 2S with S the formula's floor-free evaluation; the
     bounds are rounded outward with a certified multi-radical floor.
     """
-    m, compiled = _check_generator(system, m)
-    # the formula with every floor prefix F_i(m_i) read as 0
-    floor_free = index_formula(system, m, compiled.two_eta, [{mult: 0} for mult in m])
-    return _envelope(m, compiled, floor_free)
+    return _envelope(system, *_check_generator(system, m))
 
 
-def _envelope(m: Generator, compiled: CompiledSystem, floor_free: int) -> tuple[int, int]:
-    """The envelope from the formula's value with every floor F_i(m_i) read as 0."""
+def _envelope(system: OrbitSystem, m: Generator, compiled: CompiledSystem) -> tuple[int, int]:
     total_mult = sum(m)
     if total_mult == 0:
         return (0, 0)
+    # the formula with every floor prefix F_i(m_i) read as 0
+    floor_free = index_formula(system, m, compiled.two_eta, [{mult: 0} for mult in m])
     # sum m_i(m_i + 1) phi_i = (rational + sum radical_d sqrt(d))/R, and for
     # an integer R > 0, floor(x/R) = floor(floor(x)/R)
     rational = 0
@@ -436,9 +432,9 @@ def index_report(system: OrbitSystem, m: Sequence[int]) -> IndexReport:
     """Full report; qbar is None when the irrational phi_i with m_i != 0 span
     two or more fields."""
     m, compiled = _check_generator(system, m)
-    value_i, floors = _index(system, m, compiled.two_eta)
+    value_i = _index(system, m, compiled.two_eta)
     try:
-        q = qbar(system, m)
+        q = _qbar(system, compiled, m)
     except MixedFieldError:
         q = None
     return IndexReport(
@@ -446,7 +442,7 @@ def index_report(system: OrbitSystem, m: Sequence[int]) -> IndexReport:
         J0=value_i - index_residual(system, m, compiled.two_eta),
         mod2=0,  # every orbit a checked generator covers is elliptic
         qbar=q,
-        envelope=_envelope(m, compiled, value_i - floors),
+        envelope=_envelope(system, m, compiled),
     )
 
 

@@ -243,6 +243,14 @@ def test_equal_values_over_different_radicands():
     assert not same_field(4, 64)  # square radicands span no field
 
 
+def test_hash_separates_small_irrational_parts():
+    # the same rational part and sign, irrational parts whose squares
+    # 5/9 and 7/9 share an integer part
+    x, y = make_exact((0, 1, 3, 5)), make_exact((0, 1, 3, 7))
+    assert x != y and hash(x) != hash(y)
+    assert hash(make_exact((1, 1, 3, 5))) != hash(make_exact((1, 1, 3, 7)))
+
+
 def _over_large_radicands():
     """(v, v over s^2 d, v over t^2 d) for an irrational v in Q(sqrt d) and
     primes s, t whose squares the radicand keeps: radicands above 10^12."""
