@@ -5,6 +5,10 @@ for the quadratic form (which yields a provably sufficient search box) or an
 explicit user box; a silent incomplete census is never produced.  On top of
 the census sit the index spectrum, growth-exponent fits, the lattice-point
 triangle oracle, and the one-generator-per-even-index verification.
+
+One private walk is the only box loop (min_index_on_shells runs it without
+a cutoff); it reads the elliptic flags, 2*eta and the lattice from
+indices.compile_system's record.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, isqrt, log
+from math import ceil, inf, isqrt, log
 from statistics import linear_regression
 from typing import Sequence
 
@@ -32,7 +36,7 @@ from .orbits import (
     OrbitSystem,
     nullhomologous_lattice,
 )
-from .indices import doubled_eta, index_formula, qbar_quadrant_positive
+from .indices import compile_system, doubled_eta, index_formula, qbar_quadrant_positive
 
 _BOUND_BITS = 32
 
@@ -68,14 +72,6 @@ def floor_prefix_table(phi: ExactReal, m_max: int) -> list[int]:
     return table
 
 
-def _require_all_elliptic(system: OrbitSystem) -> None:
-    for orbit in system.orbits:
-        if not orbit.is_elliptic():
-            raise HyperbolicOrbitError(
-                f"orbit {orbit.name} is hyperbolic; the census covers all-elliptic systems"
-            )
-
-
 def _sqrt_upper(x: Fraction) -> Fraction:
     """A rational upper bound for sqrt(x), x >= 0."""
     if x < 0:
@@ -102,6 +98,51 @@ def _certified_box(system: OrbitSystem, i_max: int, c: Fraction) -> int:
     return ceil(radius) + 1
 
 
+def _walk(
+    system: OrbitSystem, i_max: int | float, box: Sequence[int] | int | None
+) -> tuple[int, list[int], list[tuple[Generator, int]]]:
+    """The lattice index, the box's per-orbit bounds (from the quadrant
+    certificate when box is None), and (m, I(m)) in box order for every
+    lattice point m in the box with I(m) <= i_max.  Raises, in this order:
+    a hyperbolic orbit, the lattice's error, no certificate or a malformed
+    box, eta outside (1/2)Z, an odd index."""
+    compiled = compile_system(system)
+    if not all(compiled.elliptic):
+        orbit = system.orbits[compiled.elliptic.index(False)]
+        raise HyperbolicOrbitError(
+            f"orbit {orbit.name} is hyperbolic; the census covers all-elliptic systems"
+        )
+    if compiled.lattice is None:
+        nullhomologous_lattice(system)  # raises, as it did when the record was built
+    n = system.n
+    if box is None:
+        cert = qbar_quadrant_positive(system)
+        if cert.verdict != "positive":
+            raise CensusBoundError(
+                f"no positivity certificate (verdict: {cert.verdict}); supply a box"
+            )
+        limits = [_certified_box(system, i_max, cert.coercivity)] * n
+    else:
+        limits = [int(box)] * n if isinstance(box, int) else [int(b) for b in box]
+        if len(limits) != n or any(b < 0 for b in limits):
+            raise ValueError("box must give a nonnegative bound per orbit")
+    for i in compiled.faults:  # every orbit is elliptic, so only eta is left
+        doubled_eta(system.orbits[i])  # raises, as it did when the record was built
+    tables = [floor_prefix_table(o.phi, b) for o, b in zip(system.orbits, limits)]
+    lattice = compiled.lattice
+    entries: list[tuple[Generator, int]] = []
+    for m in product(*(range(b + 1) for b in limits)):
+        if not lattice.contains(m):
+            continue
+        value = index_formula(compiled, m, tables)
+        if value > i_max:
+            continue
+        if value % 2:
+            raise IndexParityError(f"odd index {value} at {m}; eta inputs inconsistent")
+        entries.append((m, value))
+    return lattice.index, limits, entries
+
+
 def enumerate_generators(
     system: OrbitSystem,
     i_max: int,
@@ -112,42 +153,10 @@ def enumerate_generators(
     Without a box the search radius is derived from the quadrant-positivity
     certificate; if the certificate is not "positive" the census refuses.
     """
-    _require_all_elliptic(system)
-    lattice = nullhomologous_lattice(system)
-    n = system.n
-    if n == 0:
-        entries = ((tuple(), 0),) if i_max >= 0 else ()
-        return CensusResult(i_max, entries, 1, None)
-    if box is None:
-        cert = qbar_quadrant_positive(system)
-        if cert.verdict != "positive":
-            raise CensusBoundError(
-                f"no positivity certificate (verdict: {cert.verdict}); supply a box"
-            )
-        limit = _certified_box(system, i_max, cert.coercivity)
-        limits = [limit] * n
-        recorded_box = None
-    else:
-        limits = [int(box)] * n if isinstance(box, int) else [int(b) for b in box]
-        if len(limits) != n or any(b < 0 for b in limits):
-            raise ValueError("box must give a nonnegative bound per orbit")
-        recorded_box = tuple(limits)
-
-    two_eta = [doubled_eta(o) for o in system.orbits]
-    tables = [floor_prefix_table(o.phi, limits[i]) for i, o in enumerate(system.orbits)]
-
-    entries: list[tuple[Generator, int]] = []
-    for m in product(*(range(b + 1) for b in limits)):
-        if not lattice.contains(m):
-            continue
-        value = index_formula(system, m, two_eta, tables)
-        if value > i_max:
-            continue
-        if value % 2:
-            raise IndexParityError(f"odd index {value} at {m}; eta inputs inconsistent")
-        entries.append((m, value))
+    lattice_index, limits, entries = _walk(system, i_max, box)
     entries.sort(key=lambda e: (e[1], e[0]))
-    return CensusResult(i_max, tuple(entries), lattice.index, recorded_box)
+    recorded_box = None if box is None else tuple(limits)
+    return CensusResult(i_max, tuple(entries), lattice_index, recorded_box)
 
 
 def spectrum(system: OrbitSystem, i_max: int, box=None) -> list[int]:
@@ -268,33 +277,20 @@ def min_index_on_shells(
     system: OrbitSystem, radii: Sequence[int]
 ) -> list[tuple[int, int]]:
     """(radius, min index) over generators whose Euclidean norm rounds up to
-    the given radius; radius 0 is the empty generator."""
-    _require_all_elliptic(system)
-    out: list[tuple[int, int]] = []
+    the given radius; radius 0 is the empty generator.  The census walk over
+    the box of the largest radius, without a cutoff, then a norm filter."""
     radii = sorted(set(int(r) for r in radii))
     if any(r < 0 for r in radii):
         raise ValueError("radii must be nonnegative")
-    if not radii:
-        return out
-    r_max = radii[-1]
-    lattice = nullhomologous_lattice(system)
-    two_eta = [doubled_eta(o) for o in system.orbits]
-    tables = [floor_prefix_table(o.phi, r_max) for o in system.orbits]
+    r_max = radii[-1] if radii else 0
+    _, _, entries = _walk(system, inf, r_max)
     best: dict[int, int] = {}
-    for m in product(range(r_max + 1), repeat=system.n):
+    for m, value in entries:
         norm_sq = sum(v * v for v in m)
-        if norm_sq > r_max * r_max or not lattice.contains(m):
-            continue
-        radius = isqrt(norm_sq)
-        if radius * radius < norm_sq:
-            radius += 1  # ceil of the Euclidean norm
-        value = index_formula(system, m, two_eta, tables)
-        if radius not in best or value < best[radius]:
-            best[radius] = value
-    for r in radii:
-        if r in best:
-            out.append((r, best[r]))
-    return out
+        radius = isqrt(norm_sq - 1) + 1 if norm_sq else 0  # ceil of the Euclidean norm
+        if radius <= r_max:
+            best[radius] = min(value, best.get(radius, value))
+    return [(r, best[r]) for r in radii if r in best]
 
 
 def fit_shell_lower_bound(shells: Sequence[tuple[int, int]]) -> tuple[float, float]:

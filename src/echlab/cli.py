@@ -121,9 +121,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
         # the entries are checked generators of an all-elliptic system, so
         # J0 = I - (I - J0) by the closed form, and mod2, which counts
         # positive-hyperbolic orbits, is 0
-        two_eta = [indices.doubled_eta(o) for o in system.orbits]
+        compiled = indices.compile_system(system)
         rows = [
-            list(m) + [value, value - indices.index_residual(system, m, two_eta), 0]
+            list(m) + [value, value - indices.index_residual(compiled, m), 0]
             for m, value in result.entries
         ]
         _emit(args, _csv_text(header, rows))
@@ -131,7 +131,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         payload = {
             "imax": result.cutoff,
             "lattice_index": result.lattice_index,
-            "box": list(result.box) if result.box else None,
+            "box": list(result.box) if result.box is not None else None,
             "complete": result.box is None,
             "entries": [{"m": list(m), "I": value} for m, value in result.entries],
         }

@@ -337,8 +337,8 @@ class ExactReal:
         return x.num == o.num and x.q == o.q and x.den == o.den and x.d == o.d
 
     def __hash__(self) -> int:
-        if self.q == 0:
-            return hash((self.num, 0, self.den, 1))
+        if self.q == 0:  # as the equal int or Fraction hashes
+            return hash(Fraction(self.num, self.den))
         # the rational part is the same over every radicand of the field,
         # since 1 and sqrt(d) are linearly independent over Q; so are the
         # sign and the square of the irrational part, which mark the value

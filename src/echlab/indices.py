@@ -15,15 +15,15 @@ Everything is computed in exact integer arithmetic.  I is evaluated by
 index_formula alone, and J0 as I minus the closed-form difference.
 
 Every checked call (ech_index, j0_index, index_identity_residual,
-index_envelope, index_report) and qbar read one CompiledSystem, built once
-per system by compile_system behind the package's one per-system cache.  It
-holds the elliptic flags, 2*eta from doubled_eta (or the error it raised,
-re-raised only for an orbit with nonzero multiplicity), the linking rows,
-the nullhomologous lattice, and each phi as integers (P, Q, d) over one
-common denominator R, with every radicand of one field rescaled to the
-field's smallest.  qbar and the envelope are integer sums over R.  qbar is
-defined exactly when the irrational phi_i with m_i != 0 lie in one field,
-whatever the orbit order; otherwise it raises MixedFieldError and
+index_envelope, index_report), qbar, the census and its CSV's J0 column
+read one CompiledSystem, built once per system by compile_system behind the
+package's one per-system cache.  It holds the elliptic flags, 2*eta from
+doubled_eta (or the error it raised, re-raised by the calls it blocks), the
+linking rows, the nullhomologous lattice, and each phi as integers (P, Q, d)
+over one common denominator R, with every radicand of one field rescaled to
+the field's smallest.  qbar, the envelope and I - J0 are integer sums over R.
+qbar is defined exactly when the irrational phi_i with m_i != 0 lie in one
+field, whatever the orbit order; otherwise it raises MixedFieldError and
 index_report gives None.
 """
 
@@ -46,6 +46,7 @@ from .errors import (
 )
 from .exactreal import (
     ExactReal,
+    _floor_state,
     ceil_mult,
     floor_mult,
     floor_radical_sum,
@@ -86,14 +87,12 @@ def doubled_eta(orbit) -> int:
     return 2 * eta.numerator // eta.denominator
 
 
-def index_formula(
-    system: OrbitSystem, m: Sequence[int], two_eta: Sequence[int], prefixes: Sequence
-) -> int:
+def index_formula(compiled: CompiledSystem, m: Sequence[int], prefixes: Sequence) -> int:
     """sum m_i 2eta_i + 2 sum F_i(m_i) + 2 sum_{i<j} m_i m_j Q_ij over the
     nonzero m_i, where prefixes[i][k] = F_i(k) = sum_{j=1..k} floor(j phi_i)
-    and two_eta[i] = doubled_eta(orbit i).  Nothing is checked here: callers
+    and 2eta_i, Q_ij come from the record.  Nothing is checked here: callers
     pass a validated generator."""
-    linking = system.linking
+    two_eta, linking = compiled.two_eta, compiled.linking
     n = len(m)
     total = 0
     for i in range(n):
@@ -107,13 +106,15 @@ def index_formula(
     return total
 
 
-def index_residual(system: OrbitSystem, m: Sequence[int], two_eta: Sequence[int]) -> int:
-    """Closed form for I - J0 on a validated generator:
+def index_residual(compiled: CompiledSystem, m: Sequence[int]) -> int:
+    """Closed form for I - J0 on a validated generator, floors from the record:
     sum m_i(4 eta_i - 2) + 2 sum floor(m_i phi_i) + #nonzero."""
+    den = compiled.denominator
     total = 0
-    for orbit, mult, doubled in zip(system.orbits, m, two_eta):
+    for mult, doubled, phi in zip(m, compiled.two_eta, compiled.phi):
         if mult:
-            total += mult * (2 * doubled - 2) + 2 * floor_mult(orbit.phi, mult) + 1
+            p, q, d = phi
+            total += mult * (2 * doubled - 2) + 2 * _floor_state(mult * p, mult * q, den, d) + 1
     return total
 
 
@@ -208,13 +209,13 @@ def _check_generator(system: OrbitSystem, m: Sequence[int]) -> tuple[Generator, 
     return m, compiled
 
 
-def _index(system: OrbitSystem, m: Generator, two_eta: Sequence[int]) -> int:
+def _index(system: OrbitSystem, m: Generator, compiled: CompiledSystem) -> int:
     """I on a checked generator; an odd value means inconsistent eta."""
     prefixes = [
         {mult: _floor_prefix(orbit.phi, mult)} if mult else None
         for orbit, mult in zip(system.orbits, m)
     ]
-    total = index_formula(system, m, two_eta, prefixes)
+    total = index_formula(compiled, m, prefixes)
     if total % 2:
         raise IndexParityError(
             f"index {total} is odd for all-elliptic generator {m}; eta inputs inconsistent"
@@ -225,20 +226,20 @@ def _index(system: OrbitSystem, m: Generator, two_eta: Sequence[int]) -> int:
 def ech_index(system: OrbitSystem, m: Sequence[int]) -> int:
     """Absolute ECH index; an even integer, with I(empty) = 0."""
     m, compiled = _check_generator(system, m)
-    return _index(system, m, compiled.two_eta)
+    return _index(system, m, compiled)
 
 
 def j0_index(system: OrbitSystem, m: Sequence[int]) -> int:
     """Absolute J0 index, with J0(empty) = 0, as I minus the closed form I - J0."""
     m, compiled = _check_generator(system, m)
-    value_i = _index(system, m, compiled.two_eta)
-    return value_i - index_residual(system, m, compiled.two_eta)
+    value_i = _index(system, m, compiled)
+    return value_i - index_residual(compiled, m)
 
 
 def index_identity_residual(system: OrbitSystem, m: Sequence[int]) -> int:
     """Closed form for I - J0: sum m_i(4 eta_i - 2) + 2 sum floor(m_i phi_i) + #nonzero."""
     m, compiled = _check_generator(system, m)
-    return index_residual(system, m, compiled.two_eta)
+    return index_residual(compiled, m)
 
 
 def mod2_grading(system: OrbitSystem, m: Sequence[int]) -> int:
@@ -391,7 +392,7 @@ def _envelope(system: OrbitSystem, m: Generator, compiled: CompiledSystem) -> tu
     if total_mult == 0:
         return (0, 0)
     # the formula with every floor prefix F_i(m_i) read as 0
-    floor_free = index_formula(system, m, compiled.two_eta, [{mult: 0} for mult in m])
+    floor_free = index_formula(compiled, m, [{mult: 0} for mult in m])
     # sum m_i(m_i + 1) phi_i = (rational + sum radical_d sqrt(d))/R, and for
     # an integer R > 0, floor(x/R) = floor(floor(x)/R)
     rational = 0
@@ -432,14 +433,14 @@ def index_report(system: OrbitSystem, m: Sequence[int]) -> IndexReport:
     """Full report; qbar is None when the irrational phi_i with m_i != 0 span
     two or more fields."""
     m, compiled = _check_generator(system, m)
-    value_i = _index(system, m, compiled.two_eta)
+    value_i = _index(system, m, compiled)
     try:
         q = _qbar(system, compiled, m)
     except MixedFieldError:
         q = None
     return IndexReport(
         I=value_i,
-        J0=value_i - index_residual(system, m, compiled.two_eta),
+        J0=value_i - index_residual(compiled, m),
         mod2=0,  # every orbit a checked generator covers is elliptic
         qbar=q,
         envelope=_envelope(system, m, compiled),

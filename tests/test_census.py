@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -21,6 +21,8 @@ from echlab.errors import (
     CensusBoundError,
     DegenerateAngleError,
     HyperbolicOrbitError,
+    IndexParityError,
+    NonTorsionClassError,
     RefinementError,
 )
 from echlab.exactreal import ExactReal, floor_mult, make_exact
@@ -100,8 +102,38 @@ def test_census_refuses_without_certificate():
 
 
 def test_census_rejects_hyperbolic_systems():
-    with pytest.raises(HyperbolicOrbitError):
+    message = "orbit h is hyperbolic; the census covers all-elliptic systems"
+    with pytest.raises(HyperbolicOrbitError, match=message):
         enumerate_generators(load_system_preset("eh-system"), 10)
+    with pytest.raises(HyperbolicOrbitError, match=message):
+        min_index_on_shells(load_system_preset("eh-system"), range(3))
+
+
+def test_census_rejects_infinite_order_classes():
+    short, long = ELLIPSOID.orbits
+    free = OrbitSystem(
+        (replace(short, homology_class=(1,)), replace(long, homology_class=(0,))),
+        ELLIPSOID.linking,
+        Homology((0,)),
+    )
+    for census in (
+        lambda: enumerate_generators(free, 10),
+        lambda: enumerate_generators(free, 10, box=3),
+        lambda: min_index_on_shells(free, range(3)),
+    ):
+        with pytest.raises(NonTorsionClassError, match="orbit short is not torsion"):
+            census()
+
+
+def test_empty_system_census():
+    empty = OrbitSystem((), (), Homology())
+    assert enumerate_generators(empty, 5).entries == (((), 0),)
+    assert enumerate_generators(empty, -1).entries == ()
+    assert enumerate_generators(empty, 5).box is None
+    assert enumerate_generators(empty, 5, box=()).box == ()
+    for box in ((3, -4), (3,)):
+        with pytest.raises(ValueError, match="nonnegative bound per orbit"):
+            enumerate_generators(empty, 5, box=box)
 
 
 def test_coercivity_refinement_failure_is_typed():
@@ -253,6 +285,43 @@ def test_eta_outside_half_integers_is_rejected_everywhere():
         enumerate_generators(bad, 10)
     with pytest.raises(ValueError, match=message):
         min_index_on_shells(bad, range(3))
+
+
+def test_odd_index_is_refused_by_every_census():
+    # eta = 1/2 gives I(m) = m + 2 sum floor(k sqrt 2), odd at m = 1
+    half = OrbitSystem(
+        (Orbit("a", ELLIPTIC, eta=Fraction(1, 2), phi=SQRT2),), ((0,),), Homology()
+    )
+    with pytest.raises(IndexParityError):
+        ech_index(half, (1,))
+    with pytest.raises(IndexParityError):
+        enumerate_generators(half, 10)
+    with pytest.raises(IndexParityError):
+        min_index_on_shells(half, range(4))
+
+
+def brute_force_shells(system, r_max):
+    lattice = nullhomologous_lattice(system)
+    best = {}
+    for m in product(range(r_max + 1), repeat=system.n):
+        radius = next(r for r in count() if r * r >= sum(v * v for v in m))
+        if radius <= r_max and lattice.contains(m):
+            value = ech_index(system, m)
+            best[radius] = min(value, best.get(radius, value))
+    return sorted(best.items())
+
+
+def test_min_index_on_shells_against_brute_force():
+    for name, r_max in (("lens3", 12), ("n3", 6), ("ellipsoid-golden", 10)):
+        system = load_system_preset(name)
+        assert min_index_on_shells(system, range(r_max + 1)) == brute_force_shells(
+            system, r_max
+        ), name
+    lens = load_system_preset("lens3")
+    assert min_index_on_shells(lens, [5, 2, 5]) == [
+        (r, v) for r, v in brute_force_shells(lens, 5) if r in (2, 5)
+    ]
+    assert min_index_on_shells(lens, []) == []
 
 
 def test_min_index_on_shells():

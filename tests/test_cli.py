@@ -54,6 +54,38 @@ def test_census_refusal_is_input_error(capsys, tmp_path):
     assert "certificate" in err
 
 
+def test_census_of_the_empty_system(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"orbits": [], "linking": [], "homology": []}))
+    code, out, _ = run_cli(capsys, "census", "--system", str(path), "--imax", "5")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["entries"] == [{"m": [], "I": 0}]
+    assert payload["box"] is None and payload["complete"] is True
+    code, out, err = run_cli(
+        capsys, "census", "--system", str(path), "--imax", "5", "--box", "3,-4"
+    )
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert "nonnegative bound per orbit" in err
+
+
+def test_census_refuses_hyperbolic_and_infinite_order_systems(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "census", "--preset", "eh-system", "--imax", "10")
+    assert code == EXIT_INPUT_ERROR
+    assert err == "error: orbit h is hyperbolic; the census covers all-elliptic systems\n"
+    obj = system_to_json(load_system_preset("ellipsoid-sqrt2"))
+    obj["homology"] = [0]
+    obj["orbits"][0]["class"], obj["orbits"][1]["class"] = [1], [0]
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(obj))
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(
+            capsys, "census", "--system", str(path), "--imax", "10", "--format", fmt
+        )
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "orbit short is not torsion" in err
+
+
 def test_census_csv_round_trip(capsys):
     code, out, _ = run_cli(
         capsys, "census", "--preset", "lens3", "--imax", "40", "--format", "csv"

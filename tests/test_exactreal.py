@@ -251,6 +251,16 @@ def test_hash_separates_small_irrational_parts():
     assert hash(make_exact((1, 1, 3, 5))) != hash(make_exact((1, 1, 3, 7)))
 
 
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_rational_hashes_as_its_fraction(a, b):
+    assert hash(ExactReal.from_rational(a, b)) == hash(Fraction(a, b))
+
+
+def test_rational_joins_equal_ints_and_fractions_in_a_set():
+    assert len({ExactReal.from_rational(1), 1}) == 1
+    assert len({ExactReal.from_rational(1, 2), Fraction(1, 2)}) == 1
+
+
 def _over_large_radicands():
     """(v, v over s^2 d, v over t^2 d) for an irrational v in Q(sqrt d) and
     primes s, t whose squares the radicand keeps: radicands above 10^12."""

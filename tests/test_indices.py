@@ -30,7 +30,6 @@ from echlab.indices import (
     compile_system,
     conley_zehnder,
     cylinder_criterion,
-    doubled_eta,
     ech_index,
     genus_bound,
     index_envelope,
@@ -597,8 +596,7 @@ def _envelope_oracle(system, m):
     over Fractions; lo = hi - 2|m| + 1."""
     if sum(m) == 0:
         return (0, 0)
-    two_eta = [doubled_eta(o) if v else 0 for o, v in zip(system.orbits, m)]
-    integer_part = index_formula(system, m, two_eta, [{v: 0} for v in m])
+    integer_part = index_formula(compile_system(system), m, [{v: 0} for v in m])
     rational = Fraction(0)
     radicals = []
     for orbit, v in zip(system.orbits, m):
