@@ -6,9 +6,13 @@ explicit user box; a silent incomplete census is never produced.  On top of
 the census sit the index spectrum, growth-exponent fits, the lattice-point
 triangle oracle, and the one-generator-per-even-index verification.
 
-One private walk is the only box loop (min_index_on_shells runs it without
-a cutoff); it reads the elliptic flags, 2*eta and the lattice from
-indices.compile_system's record.
+One private walk is the only census loop (min_index_on_shells runs it
+without a cutoff, inside a ball); it reads the elliptic flags, 2*eta and the
+lattice from indices.compile_system's record.  The walk is a depth-first
+search over the coordinates in orbit order: it steps along the lattice's
+row Hermite basis, so it never tests membership, and it ends each column
+once a certified lower bound on the index passes the cutoff, so its cost
+follows the number of generators, not the volume of the box.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import ceil, inf, isqrt, log
+from operator import itemgetter
 from statistics import linear_regression
 from typing import Sequence
 
@@ -46,13 +50,15 @@ class CensusResult:
     """All generators with index <= cutoff, sorted by (index, multiplicities).
 
     box is None for a certified-complete census; otherwise completeness is
-    only relative to the recorded box.
+    only relative to the recorded box.  nodes counts the search nodes the
+    walk visited (prefixes m_0..m_k, leaves included).
     """
 
     cutoff: int
     entries: tuple[tuple[Generator, int], ...]
     lattice_index: int
     box: tuple[int, ...] | None = None
+    nodes: int = 0
 
     def indices(self) -> list[int]:
         return [i for _, i in self.entries]
@@ -99,13 +105,36 @@ def _certified_box(system: OrbitSystem, i_max: int, c: Fraction) -> int:
 
 
 def _walk(
-    system: OrbitSystem, i_max: int | float, box: Sequence[int] | int | None
-) -> tuple[int, list[int], list[tuple[Generator, int]]]:
+    system: OrbitSystem,
+    i_max: int | float,
+    box: Sequence[int] | int | None,
+    norm_sq: int | float = inf,
+) -> tuple[int, list[int], list[tuple[Generator, int]], int]:
     """The lattice index, the box's per-orbit bounds (from the quadrant
-    certificate when box is None), and (m, I(m)) in box order for every
-    lattice point m in the box with I(m) <= i_max.  Raises, in this order:
-    a hyperbolic orbit, the lattice's error, no certificate or a malformed
-    box, eta outside (1/2)Z, an odd index."""
+    certificate when box is None), (m, I(m)) in box order for every lattice
+    point m in the box with I(m) <= i_max and sum m_i^2 <= norm_sq, and the
+    number of search nodes.  Raises, in this order: a hyperbolic orbit, the
+    lattice's error, no certificate or a malformed box, eta outside (1/2)Z,
+    an odd index.
+
+    A depth-first search fixes m_0, m_1, ... in turn, each in increasing
+    order, so leaves come out in box (lexicographic) order.  The lattice's
+    row Hermite basis b is upper triangular: once m_0..m_{k-1} fix the
+    coefficients c_0..c_{k-1}, m_k runs over offset_k + b[k][k]*Z with
+    offset_k = sum_{i<k} c_i b[i][k], so every leaf is a lattice point.
+
+    A node m_0..m_k is priced at v = I(m_0..m_k, 0..0) + tail[k+1].  When no
+    linking number is negative, the cross terms of any completion are >= 0
+    and tail[j] = sum_{l>=j} min_t (t 2eta_l + 2F_l(t)) over the box, so v
+    bounds I below on the whole subtree and a node with v > i_max is
+    skipped; otherwise tail[j] = -inf for j < n and only leaves are priced.
+    Along a column v is linear plus 2F_k(m_k), convex when phi_k >= 0
+    (F_k(t+1) - F_k(t) = floor((t+1) phi_k) never decreases) and still
+    convex on the progression m_k = offset_k mod b[k][k]; so once v > i_max
+    and v has not fallen from the node before it, no later node of the
+    column can come back under the cutoff and the column ends.  A column
+    with phi_k < 0 (a user box only) runs to its bound.  Squared norms only
+    grow along a column, so it also ends past norm_sq."""
     compiled = compile_system(system)
     if not all(compiled.elliptic):
         orbit = system.orbits[compiled.elliptic.index(False)]
@@ -130,17 +159,53 @@ def _walk(
         doubled_eta(system.orbits[i])  # raises, as it did when the record was built
     tables = [floor_prefix_table(o.phi, b) for o, b in zip(system.orbits, limits)]
     lattice = compiled.lattice
+    if not n:
+        return lattice.index, limits, [((), 0)] if i_max >= 0 else [], 1
+    basis = lattice.basis
+    least = [
+        min(t * two_eta + 2 * f for t, f in enumerate(table))
+        for two_eta, table in zip(compiled.two_eta, tables)
+    ]
+    cross_free = all(q >= 0 for i, row in enumerate(compiled.linking) for q in row[i + 1:])
+    tail = [sum(least[j:]) if cross_free else -inf for j in range(n)] + [0]
+    convex = [orbit.phi.sign() >= 0 for orbit in system.orbits]
+    m = [0] * n
+    coefficients = [0] * n
     entries: list[tuple[Generator, int]] = []
-    for m in product(*(range(b + 1) for b in limits)):
-        if not lattice.contains(m):
-            continue
-        value = index_formula(compiled, m, tables)
-        if value > i_max:
-            continue
-        if value % 2:
-            raise IndexParityError(f"odd index {value} at {m}; eta inputs inconsistent")
-        entries.append((m, value))
-    return lattice.index, limits, entries
+    nodes = 0
+
+    def column(k: int, used_sq: int) -> None:
+        nonlocal nodes
+        pivot, rest, stops, leaf = basis[k][k], tail[k + 1], convex[k], k == n - 1
+        offset = sum(coefficients[i] * basis[i][k] for i in range(k))
+        top = limits[k] if norm_sq == inf else min(limits[k], isqrt(norm_sq - used_sq))
+        previous = inf
+        for mk in range(offset % pivot, top + 1, pivot):
+            nodes += 1
+            m[k] = mk
+            value = rest if rest == -inf else index_formula(compiled, m, tables) + rest
+            if value > i_max:
+                if stops and value >= previous:
+                    break
+            elif leaf:
+                if value % 2:
+                    raise IndexParityError(
+                        f"odd index {value} at {tuple(m)}; eta inputs inconsistent"
+                    )
+                entries.append((tuple(m), value))
+            else:
+                coefficients[k] = (mk - offset) // pivot
+                column(k + 1, used_sq + mk * mk)
+            previous = value
+        m[k] = 0
+
+    try:
+        column(0, 0)
+    finally:
+        # column refers to itself through its closure; that cycle would keep
+        # entries and the tables alive until the cyclic collector ran
+        del column
+    return lattice.index, limits, entries, nodes
 
 
 def enumerate_generators(
@@ -153,15 +218,15 @@ def enumerate_generators(
     Without a box the search radius is derived from the quadrant-positivity
     certificate; if the certificate is not "positive" the census refuses.
     """
-    lattice_index, limits, entries = _walk(system, i_max, box)
-    entries.sort(key=lambda e: (e[1], e[0]))
+    lattice_index, limits, entries, nodes = _walk(system, i_max, box)
+    entries.sort(key=itemgetter(1))  # stable, so ties stay in box order: by (I, m)
     recorded_box = None if box is None else tuple(limits)
-    return CensusResult(i_max, tuple(entries), lattice_index, recorded_box)
+    return CensusResult(i_max, tuple(entries), lattice_index, recorded_box, nodes)
 
 
 def spectrum(system: OrbitSystem, i_max: int, box=None) -> list[int]:
     """Sorted multiset of indices of all generators with index <= i_max."""
-    return enumerate_generators(system, i_max, box).indices()
+    return sorted(value for _, value in _walk(system, i_max, box)[2])
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,8 +247,7 @@ def growth_exponent(system: OrbitSystem, k_samples: Sequence[int]) -> GrowthFit:
         raise ValueError("need at least 4 sample cutoffs")
     if ks[0] < 1:
         raise ValueError("cutoffs must be positive")
-    census = enumerate_generators(system, ks[-1])
-    indices = census.indices()
+    indices = spectrum(system, ks[-1])
     counts = [bisect_right(indices, k) for k in ks]
     if any(c == 0 for c in counts):
         raise ValueError("a sample cutoff has no generators; enlarge the cutoffs")
@@ -278,18 +342,17 @@ def min_index_on_shells(
 ) -> list[tuple[int, int]]:
     """(radius, min index) over generators whose Euclidean norm rounds up to
     the given radius; radius 0 is the empty generator.  The census walk over
-    the box of the largest radius, without a cutoff, then a norm filter."""
+    the ball of the largest radius (norm limit r_max^2), without a cutoff."""
     radii = sorted(set(int(r) for r in radii))
     if any(r < 0 for r in radii):
         raise ValueError("radii must be nonnegative")
     r_max = radii[-1] if radii else 0
-    _, _, entries = _walk(system, inf, r_max)
+    _, _, entries, _ = _walk(system, inf, r_max, r_max * r_max)
     best: dict[int, int] = {}
     for m, value in entries:
         norm_sq = sum(v * v for v in m)
         radius = isqrt(norm_sq - 1) + 1 if norm_sq else 0  # ceil of the Euclidean norm
-        if radius <= r_max:
-            best[radius] = min(value, best.get(radius, value))
+        best[radius] = min(value, best.get(radius, value))
     return [(r, best[r]) for r in radii if r in best]
 
 

@@ -1,12 +1,15 @@
 """Census: certified enumeration, spectra, growth fits, triangle oracle."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import count, product
 
 import pytest
 
+from echlab import census
 from echlab.census import (
+    CensusResult,
     _certified_box,
     ellipsoid_verify,
     enumerate_generators,
@@ -26,8 +29,21 @@ from echlab.errors import (
     RefinementError,
 )
 from echlab.exactreal import ExactReal, floor_mult, make_exact
-from echlab.indices import ech_index, qbar_quadrant_positive
-from echlab.orbits import ELLIPTIC, Homology, Orbit, OrbitSystem, nullhomologous_lattice
+from echlab.indices import (
+    compile_system,
+    doubled_eta,
+    ech_index,
+    index_formula,
+    qbar_quadrant_positive,
+)
+from echlab.orbits import (
+    ELLIPTIC,
+    Homology,
+    NullLattice,
+    Orbit,
+    OrbitSystem,
+    nullhomologous_lattice,
+)
 from echlab.presets_io import load_system_preset
 
 SQRT2 = make_exact((0, 1, 1, 2))
@@ -56,6 +72,129 @@ def brute_force_census(system, i_max, box=64):
             entries.append((m, value))
     entries.sort(key=lambda e: (e[1], e[0]))
     return entries
+
+
+def box_walk_census(system, i_max, box=None):
+    """The census as a filter over the whole box: every point of
+    product(range(B+1)) is tested with NullLattice.contains, then priced.
+    Same checks, in the same order, as enumerate_generators."""
+    compiled = compile_system(system)
+    if not all(compiled.elliptic):
+        orbit = system.orbits[compiled.elliptic.index(False)]
+        raise HyperbolicOrbitError(
+            f"orbit {orbit.name} is hyperbolic; the census covers all-elliptic systems"
+        )
+    if compiled.lattice is None:
+        nullhomologous_lattice(system)
+    n = system.n
+    if box is None:
+        cert = qbar_quadrant_positive(system)
+        if cert.verdict != "positive":
+            raise CensusBoundError(
+                f"no positivity certificate (verdict: {cert.verdict}); supply a box"
+            )
+        limits = [_certified_box(system, i_max, cert.coercivity)] * n
+    else:
+        limits = [int(box)] * n if isinstance(box, int) else [int(b) for b in box]
+        if len(limits) != n or any(b < 0 for b in limits):
+            raise ValueError("box must give a nonnegative bound per orbit")
+    for i in compiled.faults:
+        doubled_eta(system.orbits[i])
+    tables = [floor_prefix_table(o.phi, b) for o, b in zip(system.orbits, limits)]
+    entries = []
+    for m in product(*(range(b + 1) for b in limits)):
+        if not compiled.lattice.contains(m):
+            continue
+        value = index_formula(compiled, m, tables)
+        if value > i_max:
+            continue
+        if value % 2:
+            raise IndexParityError(f"odd index {value} at {m}; eta inputs inconsistent")
+        entries.append((m, value))
+    entries.sort(key=lambda e: (e[1], e[0]))
+    return compiled.lattice.index, None if box is None else tuple(limits), entries
+
+
+def _outcome(census_call):
+    try:
+        return census_call()
+    except Exception as error:  # the exception itself is the outcome compared
+        return type(error), str(error)
+
+
+# box sides and cutoffs that keep the box loop cheap for each n
+_ORACLE_BOX = {0: 3, 1: 40, 2: 14, 3: 8, 4: 5}
+_ORACLE_CUTOFF = {0: 6, 1: 300, 2: 120, 3: 80, 4: 48}
+
+
+def random_census_system(rng):
+    """n = 0..4 elliptic orbits: quadratic or rational phi (zero or negative
+    now and then), eta in (1/2)Z (once in a while outside it), linking from
+    -2 to 3, and torsion H1 factors of order 2..6 in about half of them."""
+    n = rng.choice((0, 1, 2, 2, 3, 3, 4, 4))
+    orbits = []
+    orders = tuple(rng.randint(2, 6) for _ in range(rng.choice((0, 0, 1, 1, 2))))
+    for i in range(n):
+        p, r = rng.randint(-2, 8), rng.randint(1, 3)
+        d = rng.choice((1, 2, 3, 5, 7))
+        phi = make_exact(Fraction(p, r)) if d == 1 else make_exact((p, rng.randint(1, 3), r, d))
+        eta = rng.choice((Fraction(rng.randint(-1, 3)),) * 6 + (Fraction(rng.randint(-2, 6), 2),))
+        if rng.random() < 0.02:
+            eta = Fraction(1, 3)
+        classes = tuple(rng.randrange(k) for k in orders)
+        orbits.append(Orbit(f"o{i}", ELLIPTIC, eta=eta, phi=phi, homology_class=classes))
+    linking = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            linking[i][j] = linking[j][i] = rng.choice((-2, -1, 0, 1, 1, 2, 3))
+    return OrbitSystem(tuple(orbits), tuple(map(tuple, linking)), Homology(orders))
+
+
+def test_search_matches_box_walk_on_random_systems():
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(1500):
+        system = random_census_system(rng)
+        n = system.n
+        i_max = rng.randint(-2, _ORACLE_CUTOFF[n])
+        boxes = [tuple(rng.randint(0, _ORACLE_BOX[n]) for _ in range(n))]
+        cert = _outcome(lambda: qbar_quadrant_positive(system))
+        if getattr(cert, "verdict", None) != "positive":
+            boxes.append(None)  # both refuse, or fail the same way
+        elif _certified_box(system, i_max, cert.coercivity) <= _ORACLE_BOX[n] + 2:
+            boxes.append(None)
+        for box in boxes:
+            expected = _outcome(lambda: box_walk_census(system, i_max, box))
+            got = _outcome(lambda: enumerate_generators(system, i_max, box))
+            if isinstance(got, CensusResult):
+                got = (got.lattice_index, got.box, list(got.entries))
+            assert got == expected, (system, i_max, box)
+            if isinstance(expected[0], type):
+                seen.add(expected[0])
+            else:
+                seen.add(("certified" if box is None else "boxed", bool(expected[2])))
+    assert seen >= {
+        IndexParityError, ValueError, CensusBoundError,
+        ("boxed", True), ("boxed", False), ("certified", True), ("certified", False),
+    }
+
+
+def test_census_makes_no_membership_test(monkeypatch):
+    def refuse(self, m):
+        raise AssertionError("NullLattice.contains called")
+
+    monkeypatch.setattr(NullLattice, "contains", refuse)
+    lens = enumerate_generators(load_system_preset("lens3"), 300)
+    assert lens.lattice_index == 3 and lens.entries
+    assert enumerate_generators(load_system_preset("n3"), 300).entries
+
+
+@pytest.mark.parametrize(
+    "name", ("n3", "lens3", "ellipsoid-sqrt2", "ellipsoid-golden", "ellipsoid-sqrt3")
+)
+def test_search_nodes_per_entry(name):
+    result = enumerate_generators(load_system_preset(name), 8000)
+    assert len(result.entries) <= result.nodes <= 1.5 * len(result.entries)
 
 
 def test_census_ellipsoid_example():
@@ -322,6 +461,23 @@ def test_min_index_on_shells_against_brute_force():
         (r, v) for r, v in brute_force_shells(lens, 5) if r in (2, 5)
     ]
     assert min_index_on_shells(lens, []) == []
+
+
+def test_shell_search_stays_in_the_ball(monkeypatch):
+    priced = []
+
+    def recording(compiled, m, prefixes):
+        priced.append(tuple(m))
+        return index_formula(compiled, m, prefixes)
+
+    monkeypatch.setattr(census, "index_formula", recording)
+    n3 = load_system_preset("n3")
+    assert min_index_on_shells(n3, range(7)) == brute_force_shells(n3, 6)
+    # every priced point, prefixes (zero-padded) included, lies in the ball
+    # of radius 6: 163 of the 343 points of the box [0, 6]^3
+    ball = {m for m in product(range(7), repeat=3) if sum(v * v for v in m) <= 36}
+    assert len(ball) == 163
+    assert set(priced) == ball
 
 
 def test_min_index_on_shells():
