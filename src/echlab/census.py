@@ -60,12 +60,9 @@ class CensusResult:
     box: tuple[int, ...] | None = None
     nodes: int = 0
 
-    def indices(self) -> list[int]:
-        return [i for _, i in self.entries]
-
     def count_up_to(self, j: int) -> int:
         """N(j) = number of enumerated generators with index <= j."""
-        return bisect_right(self.indices(), j)
+        return bisect_right(self.entries, j, key=itemgetter(1))
 
 
 def floor_prefix_table(phi: ExactReal, m_max: int) -> list[int]:

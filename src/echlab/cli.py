@@ -4,6 +4,13 @@ Subcommands: index, census, ellipsoid-verify, growth, stheta, zeta-check,
 zeta-solve, torus-map, preset-list.  Verdicts are emitted as JSON; spectra
 and densities as CSV.  Exit status: 0 success/pass, 1 verification failure,
 2 input error.
+
+Output goes through json.dumps(indent=2) and csv.writer, except the
+census's entries and rows.  The census is the one command whose output grows
+with its answer (megabytes at large cutoffs), and with indent set json.dumps
+runs CPython's pure-Python encoder.  Census entries hold only ints, so each
+is written from one %-template, byte for byte as json.dumps and csv.writer
+would write it.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from . import census as census_mod
@@ -75,13 +83,15 @@ def _split_top_level(text: str) -> list[str]:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
+    """Write text, ended by one newline, to --out or else to stdout; the file
+    gets the same bytes that stdout would."""
+    if not text.endswith("\n"):
+        text += "\n"
     out = getattr(args, "out", None)  # preset-list takes no --out
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _load_system_arg(args: argparse.Namespace) -> OrbitSystem:
@@ -112,30 +122,60 @@ def _cmd_index(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _census_json(result: census_mod.CensusResult, n: int) -> str:
+    """The census as json.dumps(payload, indent=2) lays it out: the header
+    through json.dumps, the entries from one template, since they hold only
+    ints."""
+    text = json.dumps(
+        {
+            "imax": result.cutoff,
+            "lattice_index": result.lattice_index,
+            "box": list(result.box) if result.box is not None else None,
+            "complete": result.box is None,
+            "entries": [],
+        },
+        indent=2,
+    )
+    if not result.entries:
+        return text
+    m_list = "[\n" + ",\n".join(["        %d"] * n) + "\n      ]" if n else "[]"
+    entry = '    {\n      "m": ' + m_list + ',\n      "I": %d\n    }'
+    body = ",\n".join([entry % (*m, value) for m, value in result.entries])
+    return text[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}"
+
+
+def _census_csv(system: OrbitSystem, result: census_mod.CensusResult) -> str:
+    """Rows m_1..m_n, I, J0, mod2.  The entries are checked generators of an
+    all-elliptic system, so mod2, which counts positive-hyperbolic orbits, is
+    0, and J0 = I - (I - J0) by the closed form.  That form is a sum of one
+    term per orbit, so it is read from one column per orbit: column i holds
+    index_residual(t * e_i) for t = 0..max m_i."""
+    n = system.n
+    compiled = indices.compile_system(system)
+    ms = [m for m, _ in result.entries]
+    values = j0 = [value for _, value in result.entries]
+    for i in range(n):
+        top = max(map(itemgetter(i), ms), default=0)
+        column = [
+            indices.index_residual(compiled, (0,) * i + (t,) + (0,) * (n - i - 1))
+            for t in range(top + 1)
+        ]
+        j0 = [j - column[m[i]] for j, m in zip(j0, ms)]
+    header = ",".join([f"m_{i + 1}" for i in range(n)] + ["I", "J0", "mod2"])
+    row = "%d," * (n + 2) + "0\n"
+    return header + "\n" + "".join(
+        [row % (*m, value, j) for m, value, j in zip(ms, values, j0)]
+    )
+
+
 def _cmd_census(args: argparse.Namespace) -> int:
     system = _load_system_arg(args)
     box = tuple(int(v) for v in args.box.split(",")) if args.box else None
     result = census_mod.enumerate_generators(system, args.imax, box)
     if args.format == "csv":
-        header = [f"m_{i + 1}" for i in range(system.n)] + ["I", "J0", "mod2"]
-        # the entries are checked generators of an all-elliptic system, so
-        # J0 = I - (I - J0) by the closed form, and mod2, which counts
-        # positive-hyperbolic orbits, is 0
-        compiled = indices.compile_system(system)
-        rows = [
-            list(m) + [value, value - indices.index_residual(compiled, m), 0]
-            for m, value in result.entries
-        ]
-        _emit(args, _csv_text(header, rows))
+        _emit(args, _census_csv(system, result))
     else:
-        payload = {
-            "imax": result.cutoff,
-            "lattice_index": result.lattice_index,
-            "box": list(result.box) if result.box is not None else None,
-            "complete": result.box is None,
-            "entries": [{"m": list(m), "I": value} for m, value in result.entries],
-        }
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, _census_json(result, system.n))
     return EXIT_OK
 
 

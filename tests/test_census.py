@@ -1,6 +1,7 @@
 """Census: certified enumeration, spectra, growth fits, triangle oracle."""
 
 import random
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from itertools import count, product
@@ -23,6 +24,7 @@ from echlab.census import (
 from echlab.errors import (
     CensusBoundError,
     DegenerateAngleError,
+    EchlabError,
     HyperbolicOrbitError,
     IndexParityError,
     NonTorsionClassError,
@@ -333,6 +335,20 @@ def test_histogram_monotone():
     counts = [result.count_up_to(j) for j in range(61)]
     assert counts[0] >= 1
     assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+
+def test_count_up_to_matches_a_bisection_of_the_index_list():
+    rng = random.Random(5)
+    for _ in range(60):
+        system = random_census_system(rng)
+        box = tuple(rng.randint(0, _ORACLE_BOX[system.n]) for _ in range(system.n))
+        try:
+            result = enumerate_generators(system, _ORACLE_CUTOFF[system.n], box)
+        except (EchlabError, ValueError):  # refused: odd index, bad angle, ...
+            continue
+        values = [value for _, value in result.entries]
+        for j in range(min(values, default=0) - 2, max(values, default=0) + 3):
+            assert result.count_up_to(j) == bisect_right(values, j)
 
 
 def test_floor_prefix_table():

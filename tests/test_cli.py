@@ -1,13 +1,27 @@
 """CLI dispatch, exit codes, round-trips, determinism."""
 
+import csv
+import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from echlab import indices
+from echlab.census import enumerate_generators
 from echlab.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFICATION_FAILED, main, parse_exact
+from echlab.errors import EchlabError
 from echlab.exactreal import make_exact
-from echlab.orbits import system_from_json, system_to_json
-from echlab.presets_io import load_system_preset
+from echlab.orbits import (
+    ELLIPTIC,
+    Homology,
+    Orbit,
+    OrbitSystem,
+    system_from_json,
+    system_to_json,
+)
+from echlab.presets_io import SYSTEM_PRESETS, load_system_preset
 
 from test_indices import j0_oracle
 
@@ -294,3 +308,135 @@ def test_output_file_and_determinism(capsys, tmp_path):
 def test_system_json_round_trip():
     system = load_system_preset("lens3")
     assert system_from_json(system_to_json(system)) == system
+
+
+def census_oracle(system, imax, box, fmt):
+    """(exit code, stdout, stderr) of the census command written through the
+    general encoders: json.dumps(payload, indent=2), and csv.writer rows with
+    one index_residual call per row."""
+    try:
+        result = enumerate_generators(system, imax, box)
+    except (EchlabError, ValueError) as exc:
+        return EXIT_INPUT_ERROR, "", f"error: {exc}\n"
+    if fmt == "csv":
+        compiled = indices.compile_system(system)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([f"m_{i + 1}" for i in range(system.n)] + ["I", "J0", "mod2"])
+        writer.writerows(
+            list(m) + [value, value - indices.index_residual(compiled, m), 0]
+            for m, value in result.entries
+        )
+        text = buf.getvalue()
+    else:
+        payload = {
+            "imax": result.cutoff,
+            "lattice_index": result.lattice_index,
+            "box": list(result.box) if result.box is not None else None,
+            "complete": result.box is None,
+            "entries": [{"m": list(m), "I": value} for m, value in result.entries],
+        }
+        text = json.dumps(payload, indent=2)
+    return EXIT_OK, text if text.endswith("\n") else text + "\n", ""
+
+
+def random_elliptic_system(rng, n, torsion):
+    """n elliptic orbits with positive quadratic or rational phi, eta in
+    {0, 1, 2} and linking 0..2, so the quadrant certificate holds; with
+    torsion, an H1 factor Z/2..Z/5 and random classes."""
+    orders = (rng.randint(2, 5),) if torsion else ()
+    orbits = []
+    for i in range(n):
+        d = rng.choice((1, 2, 3, 5, 7))
+        if d == 1:
+            phi = make_exact(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        else:
+            phi = make_exact((rng.randint(0, 4), rng.randint(1, 3), rng.randint(1, 3), d))
+        eta = Fraction(rng.choice((0, 1, 1, 2)))
+        classes = tuple(rng.randrange(k) for k in orders)
+        orbits.append(Orbit(f"o{i}", ELLIPTIC, eta=eta, phi=phi, homology_class=classes))
+    linking = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            linking[i][j] = linking[j][i] = rng.randint(0, 2)
+    return OrbitSystem(tuple(orbits), tuple(map(tuple, linking)), Homology(orders))
+
+
+def assert_census_matches_oracle(capsys, system, source, imax, box):
+    """Both formats, --box given (unless box is None) and omitted."""
+    for fmt in ("json", "csv"):
+        for bounds in (None, box) if box is not None else (None,):
+            argv = ["census", *source, "--imax", str(imax), "--format", fmt]
+            if bounds is not None:
+                argv += ["--box", ",".join(map(str, bounds))]
+            got = run_cli(capsys, *argv)
+            assert got == census_oracle(system, imax, bounds, fmt), argv
+
+
+# cutoffs giving no entry (negative), one (m = 0 alone on every preset) and
+# many
+_ORACLE_CUTOFFS = (-2, 0, 1, 40, 400)
+
+
+@pytest.mark.parametrize("preset", SYSTEM_PRESETS)
+def test_census_output_matches_oracle_on_presets(capsys, preset):
+    system = load_system_preset(preset)
+    for imax in _ORACLE_CUTOFFS:
+        assert_census_matches_oracle(
+            capsys, system, ("--preset", preset), imax, (3,) * system.n
+        )
+
+
+def test_census_output_matches_oracle_on_random_systems(capsys, tmp_path):
+    rng = random.Random(13)
+    path = tmp_path / "system.json"
+    shapes = set()
+    for n in (1, 2, 3):
+        for torsion in (False, True):
+            for imax in (-2, 0, rng.randint(20, 120 // n), rng.randint(20, 120 // n)):
+                system = random_elliptic_system(rng, n, torsion)
+                path.write_text(json.dumps(system_to_json(system)))
+                box = tuple(rng.randint(0, 6) for _ in range(n))
+                assert_census_matches_oracle(capsys, system, ("--system", str(path)), imax, box)
+                count = len(enumerate_generators(system, imax).entries)
+                shapes.add((n, torsion, min(count, 2)))
+    # every n, with and without torsion, saw an empty, a one-entry and a
+    # many-entry census
+    assert len(shapes) == 3 * 2 * 3
+
+
+def test_census_output_matches_oracle_on_the_empty_system(capsys, tmp_path):
+    system = OrbitSystem((), (), Homology())
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(system_to_json(system)))
+    for imax in (-1, 0, 5):
+        assert_census_matches_oracle(capsys, system, ("--system", str(path)), imax, None)
+    _, out, _ = run_cli(capsys, "census", "--system", str(path), "--imax", "0")
+    assert '"m": []' in out
+    _, out, _ = run_cli(capsys, "census", "--system", str(path), "--imax", "-1")
+    assert out.endswith('"entries": []\n}\n')
+
+
+_OUT_COMMANDS = [
+    ("index", "--preset", "lens3", "--m", "1,1"),
+    ("census", "--preset", "lens3", "--imax", "4"),
+    ("census", "--preset", "lens3", "--imax", "40", "--format", "csv"),
+    ("ellipsoid-verify", "--phi1", "sqrt2", "--imax", "20"),
+    ("growth", "--preset", "ellipsoid-sqrt2", "--samples", "4:50:200"),
+    ("stheta", "--theta", "sqrt2m1", "--max", "40"),
+    ("stheta", "--theta", "sqrt2m1", "--max", "40", "--emit", "densities", "--samples", "3"),
+    ("stheta", "--theta", "sqrt2m1", "--max", "40", "--emit", "semiconvergents"),
+    ("zeta-check", "--genus", "0", "--periods", "2", "--degree", "4"),
+    ("zeta-solve", "--gmax", "2", "--psum", "4"),
+    ("torus-map", "--preset", "anosov", "--pmax", "5"),
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+def test_out_file_holds_what_stdout_gets(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+    assert out.endswith("\n") and not out.endswith("\n\n")
