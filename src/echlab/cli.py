@@ -170,7 +170,10 @@ def _census_csv(system: OrbitSystem, result: census_mod.CensusResult) -> str:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     system = _load_system_arg(args)
-    box = tuple(int(v) for v in args.box.split(",")) if args.box else None
+    if args.box is None:
+        box = None
+    else:  # --box "" is the empty box, the only box of a system with no orbits
+        box = tuple(int(v) for v in args.box.split(",")) if args.box else ()
     result = census_mod.enumerate_generators(system, args.imax, box)
     if args.format == "csv":
         _emit(args, _census_csv(system, result))

@@ -428,6 +428,97 @@ def test_ellipsoid_verify_rejects_rational():
         ellipsoid_verify(make_exact((3, 2)), 20)
 
 
+def corrupt_census(monkeypatch, corrupt):
+    """Make ellipsoid_verify read the census with corrupt applied to its
+    entry list."""
+    real = census.enumerate_generators
+
+    def corrupted(system, i_max, box=None):
+        result = real(system, i_max, box)
+        entries = list(result.entries)
+        corrupt(entries)
+        return replace(result, entries=tuple(entries))
+
+    monkeypatch.setattr(census, "enumerate_generators", corrupted)
+
+
+def test_ellipsoid_verify_reports_colliding_indices(monkeypatch):
+    entries = enumerate_generators(ELLIPSOID, 40).entries
+    (m2, i2), (m3, _) = entries[2], entries[3]
+
+    def collide(entries):
+        entries[3] = (m3, i2)
+
+    corrupt_census(monkeypatch, collide)
+    outcome = ellipsoid_verify(SQRT2, 40)
+    assert outcome.passed is False
+    assert outcome.first_discrepancy == f"indices collide: {m2} and {m3} both have I={i2}"
+    assert outcome.generator_count == len(entries) == 21
+
+
+def test_ellipsoid_verify_reports_a_triangle_oracle_mismatch(monkeypatch):
+    m, value = enumerate_generators(ELLIPSOID, 40).entries[5]
+
+    def shift(entries):
+        entries[5] = (m, value + 2)
+
+    corrupt_census(monkeypatch, shift)
+    outcome = ellipsoid_verify(SQRT2, 40)
+    assert outcome.passed is False
+    assert outcome.first_discrepancy == (
+        f"triangle oracle mismatch at m={m}: I={value + 2}, lattice gives {value}"
+    )
+
+
+def test_ellipsoid_verify_reports_a_missing_index(monkeypatch):
+    _, value = enumerate_generators(ELLIPSOID, 40).entries[7]
+
+    def drop(entries):
+        del entries[7]
+
+    corrupt_census(monkeypatch, drop)
+    outcome = ellipsoid_verify(SQRT2, 40)
+    assert outcome.passed is False
+    assert outcome.first_discrepancy == f"missing index {value}"
+    assert outcome.generator_count == 20
+
+
+def seeded_slopes(seed, count):
+    """Positive irrational quadratic slopes (p + q sqrt d) / r."""
+    rng = random.Random(seed)
+    slopes = []
+    while len(slopes) < count:
+        d = rng.choice((2, 3, 5, 6, 7, 10))
+        phi = make_exact((rng.randint(-1, 3), rng.randint(1, 3), rng.randint(1, 4), d))
+        if phi.sign() > 0:
+            slopes.append(phi)
+    return slopes
+
+
+def test_ellipsoid_verify_computes_each_floor_sum_once(monkeypatch):
+    real = census.floor_sum
+    calls = []
+
+    def counted(x, k):
+        calls.append((x, k))
+        return real(x, k)
+
+    monkeypatch.setattr(census, "floor_sum", counted)
+    for phi1 in (SQRT2, GOLDEN, SQRT3, *seeded_slopes(5, 12)):
+        calls.clear()
+        outcome = ellipsoid_verify(phi1, 300)
+        assert outcome.passed, outcome.first_discrepancy
+        entries = enumerate_generators(census._ellipsoid_system(phi1), 300).entries
+        inverse = phi1.reciprocal()
+        wanted = {m1 for (m1, _), _ in entries}
+        wanted |= {floor_mult(inverse, m2) if m2 else 0 for (_, m2), _ in entries}
+        # one call per distinct argument, every call on phi1
+        assert sorted(k for _, k in calls) == sorted(wanted)
+        assert all(x == phi1 for x, _ in calls)
+        for m, value in entries:
+            assert value == 2 * (triangle_lattice_count(phi1, m) - 1)
+
+
 def test_eta_outside_half_integers_is_rejected_everywhere():
     short, long = ELLIPSOID.orbits
     bad = OrbitSystem(

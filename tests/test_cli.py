@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from echlab import census as census_mod
 from echlab import indices
 from echlab.census import enumerate_generators
 from echlab.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFICATION_FAILED, main, parse_exact
@@ -50,6 +52,21 @@ def test_ellipsoid_verify_exits_zero(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_failed_ellipsoid_verification_exits_one(capsys, monkeypatch):
+    real = census_mod.enumerate_generators
+
+    def dropped(system, i_max, box=None):
+        result = real(system, i_max, box)
+        return replace(result, entries=result.entries[:-1])
+
+    monkeypatch.setattr(census_mod, "enumerate_generators", dropped)
+    code, out, err = run_cli(capsys, "ellipsoid-verify", "--phi1", "sqrt2", "--imax", "20")
+    assert code == EXIT_VERIFICATION_FAILED and err == ""
+    payload = json.loads(out)
+    assert payload["passed"] is False and payload["generators"] == 10
+    assert payload["first_discrepancy"] == "missing index 20"
+
+
 def test_index_report(capsys):
     code, out, _ = run_cli(capsys, "index", "--preset", "ellipsoid-sqrt2", "--m", "1,1")
     assert code == EXIT_OK
@@ -81,6 +98,15 @@ def test_census_of_the_empty_system(capsys, tmp_path):
     )
     assert code == EXIT_INPUT_ERROR and out == ""
     assert "nonnegative bound per orbit" in err
+
+
+def test_census_empty_box_needs_a_system_without_orbits(capsys):
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(
+            capsys, "census", "--preset", "lens3", "--imax", "10", "--box", "", "--format", fmt
+        )
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err == "error: box must give a nonnegative bound per orbit\n"
 
 
 def test_census_refuses_hyperbolic_and_infinite_order_systems(capsys, tmp_path):
@@ -410,7 +436,12 @@ def test_census_output_matches_oracle_on_the_empty_system(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(system_to_json(system)))
     for imax in (-1, 0, 5):
-        assert_census_matches_oracle(capsys, system, ("--system", str(path)), imax, None)
+        assert_census_matches_oracle(capsys, system, ("--system", str(path)), imax, ())
+    code, out, _ = run_cli(capsys, "census", "--system", str(path), "--imax", "-1", "--box", "")
+    assert code == EXIT_OK
+    assert json.loads(out) == {
+        "imax": -1, "lattice_index": 1, "box": [], "complete": False, "entries": []
+    }
     _, out, _ = run_cli(capsys, "census", "--system", str(path), "--imax", "0")
     assert '"m": []' in out
     _, out, _ = run_cli(capsys, "census", "--system", str(path), "--imax", "-1")
