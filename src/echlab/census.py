@@ -12,7 +12,10 @@ lattice from indices.compile_system's record.  The walk is a depth-first
 search over the coordinates in orbit order: it steps along the lattice's
 row Hermite basis, so it never tests membership, and it ends each column
 once a certified lower bound on the index passes the cutoff, so its cost
-follows the number of generators, not the volume of the box.
+follows the number of generators, not the volume of the box.  It carries the
+index down the search instead of calling indices.index_formula: a node is
+priced as its parent's value + m_k s_k + 2F_k(m_k), the next term of the
+same fold (s_k from indices.index_slope, once per column).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .orbits import (
     OrbitSystem,
     nullhomologous_lattice,
 )
-from .indices import compile_system, doubled_eta, index_formula, qbar_quadrant_positive
+from .indices import compile_system, doubled_eta, index_slope, qbar_quadrant_positive
 
 _BOUND_BITS = 32
 
@@ -121,7 +124,11 @@ def _walk(
     coefficients c_0..c_{k-1}, m_k runs over offset_k + b[k][k]*Z with
     offset_k = sum_{i<k} c_i b[i][k], so every leaf is a lattice point.
 
-    A node m_0..m_k is priced at v = I(m_0..m_k, 0..0) + tail[k+1].  When no
+    A node m_0..m_k is priced at v = I(m_0..m_k, 0..0) + tail[k+1], and the
+    first term is carried down the search rather than re-summed: it is the
+    parent's I(m_0..m_{k-1}, 0..0) (0 for column 0) + m_k s_k + 2F_k(m_k),
+    with s_k = indices.index_slope computed once per column, so a node costs
+    one multiply, one read of the doubled prefix table and two adds.  When no
     linking number is negative, the cross terms of any completion are >= 0
     and tail[j] = sum_{l>=j} min_t (t 2eta_l + 2F_l(t)) over the box, so v
     bounds I below on the whole subtree and a node with v > i_max is
@@ -155,14 +162,17 @@ def _walk(
             raise ValueError("box must give a nonnegative bound per orbit")
     for i in compiled.faults:  # every orbit is elliptic, so only eta is left
         doubled_eta(system.orbits[i])  # raises, as it did when the record was built
-    tables = [floor_prefix_table(o.phi, b) for o, b in zip(system.orbits, limits)]
+    # doubled[k][t] = 2F_k(t), the floor term of orbit k at m_k = t
+    doubled = [
+        [2 * f for f in floor_prefix_table(o.phi, b)] for o, b in zip(system.orbits, limits)
+    ]
     lattice = compiled.lattice
     if not n:
         return lattice.index, limits, [((), 0)] if i_max >= 0 else [], 1
     basis = lattice.basis
     least = [
-        min(t * two_eta + 2 * f for t, f in enumerate(table))
-        for two_eta, table in zip(compiled.two_eta, tables)
+        min(t * two_eta + f for t, f in enumerate(table))
+        for two_eta, table in zip(compiled.two_eta, doubled)
     ]
     cross_free = all(q >= 0 for i, row in enumerate(compiled.linking) for q in row[i + 1:])
     tail = [sum(least[j:]) if cross_free else -inf for j in range(n)] + [0]
@@ -172,16 +182,18 @@ def _walk(
     entries: list[tuple[Generator, int]] = []
     nodes = 0
 
-    def column(k: int, used_sq: int) -> None:
+    def column(k: int, used_sq: int, base: int) -> None:
         nonlocal nodes
         pivot, rest, stops, leaf = basis[k][k], tail[k + 1], convex[k], k == n - 1
+        slope, twice_f = index_slope(compiled, m, k), doubled[k]
         offset = sum(coefficients[i] * basis[i][k] for i in range(k))
         top = limits[k] if norm_sq == inf else min(limits[k], isqrt(norm_sq - used_sq))
         previous = inf
         for mk in range(offset % pivot, top + 1, pivot):
             nodes += 1
             m[k] = mk
-            value = rest if rest == -inf else index_formula(compiled, m, tables) + rest
+            here = base + mk * slope + twice_f[mk]  # I(m_0..m_k, 0..0)
+            value = here + rest
             if value > i_max:
                 if stops and value >= previous:
                     break
@@ -193,12 +205,12 @@ def _walk(
                 entries.append((tuple(m), value))
             else:
                 coefficients[k] = (mk - offset) // pivot
-                column(k + 1, used_sq + mk * mk)
+                column(k + 1, used_sq + mk * mk, here)
             previous = value
         m[k] = 0
 
     try:
-        column(0, 0)
+        column(0, 0, 0)
     finally:
         # column refers to itself through its closure; that cycle would keep
         # entries and the tables alive until the cyclic collector ran
@@ -267,20 +279,23 @@ def triangle_lattice_count(phi1: ExactReal, m: Sequence[int]) -> int:
     m1, m2 = (int(v) for v in m)
     if m1 < 0 or m2 < 0:
         raise ValueError("corner point must sit in the closed quadrant")
-    return _triangle_count(phi1.reciprocal(), m1, m2, partial(floor_sum, phi1))
+    return _triangle_count(
+        m1, m2, partial(floor_sum, phi1), partial(floor_mult, phi1.reciprocal())
+    )
 
 
 def _triangle_count(
-    inverse: ExactReal, m1: int, m2: int, sums: Callable[[int], int]
+    m1: int, m2: int, sums: Callable[[int], int], rights: Callable[[int], int]
 ) -> int:
-    """triangle_lattice_count for a checked slope phi1, with inverse = 1/phi1
-    and sums(k) = floor_sum(phi1, k).  Beyond the inverse, the count reads
-    phi1 only through sums at k = m1 and k = floor(m2 / phi1), so a caller
-    that counts many corners may pass a memo of floor_sum."""
+    """triangle_lattice_count for a checked slope phi1, with
+    sums(k) = floor_sum(phi1, k) and rights(k) = floor_mult(1/phi1, k).  The
+    count reads phi1 only through sums at k = m1 and k = floor(m2 / phi1) and
+    through rights at k = m2, so a caller that counts many corners may pass
+    memos of both."""
     # column x = m1 - j (j = 0..m1) holds m2 + floor(j phi1) + 1 points;
     # column x = m1 + j (j = 1..right) holds m2 - floor(j phi1), where
     # right = floor(m2 / phi1) is the last j with anything under the line
-    right = floor_mult(inverse, m2) if m2 else 0
+    right = rights(m2) if m2 else 0
     return (m1 + 1) * (m2 + 1) + sums(m1) + right * m2 - sums(right)
 
 
@@ -310,10 +325,11 @@ def ellipsoid_verify(phi1: ExactReal, i_max: int) -> EllipsoidVerification:
     come from the continued-fraction floor_sum.  The entries ask for few
     distinct arguments k = m1 and k = floor(m2 / phi1) (76 among 4,751
     entries for the golden ratio at i_max = 9500), so each floor_sum(phi1, k)
-    is computed once per distinct k, in a memo that lives only for this
-    call.  The oracle deliberately reads neither the census's
-    floor_prefix_table nor indices' process-wide floor-prefix cache: sharing
-    the census's prefix sums would let one wrong table pass its own check."""
+    is computed once per distinct k, and each floor_mult(1/phi1, m2) once per
+    distinct m2, in memos that live only for this call.  The oracle
+    deliberately reads neither the census's floor_prefix_table nor indices'
+    process-wide floor-prefix cache: sharing the census's prefix sums would
+    let one wrong table pass its own check."""
     if phi1.is_rational():
         raise DegenerateAngleError("the verification needs an irrational slope")
     if phi1.sign() <= 0:
@@ -321,6 +337,7 @@ def ellipsoid_verify(phi1: ExactReal, i_max: int) -> EllipsoidVerification:
     system = _ellipsoid_system(phi1)
     phi2 = system.orbits[1].phi  # 1/phi1, built once for the system
     sums = cache(partial(floor_sum, phi1))
+    rights = cache(partial(floor_mult, phi2))
     census = enumerate_generators(system, i_max)
     seen: dict[int, Generator] = {}
     for m, value in census.entries:
@@ -330,7 +347,7 @@ def ellipsoid_verify(phi1: ExactReal, i_max: int) -> EllipsoidVerification:
                 i_max, len(census.entries),
             )
         seen[value] = m
-        expected = 2 * (_triangle_count(phi2, *m, sums) - 1)
+        expected = 2 * (_triangle_count(*m, sums, rights) - 1)
         if value != expected:
             return EllipsoidVerification(
                 False,

@@ -11,8 +11,11 @@ For an all-elliptic nullhomologous generator m over orbits with constants
 together with the closed-form difference I - J0, the mod-2 grading, the
 quadratic form approximating I, an exact integer envelope for I, and the
 per-curve bounds (intersection bound, genus budget, cylinder criterion).
-Everything is computed in exact integer arithmetic.  I is evaluated by
-index_formula alone, and J0 as I minus the closed-form difference.
+Everything is computed in exact integer arithmetic.  I has one
+implementation: the fold I(m) = sum_k [m_k s_k + 2 F_k(m_k)], where
+s_k = 2 eta_k + 2 sum_{i<k} m_i Q_ik is index_slope's.  index_formula folds
+it over a whole generator, and the census walk adds one term per search node
+as it fixes m_0, m_1, ... in turn.  J0 is I minus the closed-form difference.
 
 Every checked call (ech_index, j0_index, index_identity_residual,
 index_envelope, index_report), qbar, the census and its CSV's J0 column
@@ -87,22 +90,28 @@ def doubled_eta(orbit) -> int:
     return 2 * eta.numerator // eta.denominator
 
 
-def index_formula(compiled: CompiledSystem, m: Sequence[int], prefixes: Sequence) -> int:
-    """sum m_i 2eta_i + 2 sum F_i(m_i) + 2 sum_{i<j} m_i m_j Q_ij over the
-    nonzero m_i, where prefixes[i][k] = F_i(k) = sum_{j=1..k} floor(j phi_i)
-    and 2eta_i, Q_ij come from the record.  Nothing is checked here: callers
-    pass a validated generator."""
-    two_eta, linking = compiled.two_eta, compiled.linking
-    n = len(m)
-    total = 0
-    for i in range(n):
+def index_slope(compiled: CompiledSystem, m: Sequence[int], k: int) -> int:
+    """s_k = 2eta_k + 2 sum_{i<k} m_i Q_ik, from the record; m_i for i >= k
+    is not read.  With m_0..m_{k-1} fixed, I gains m_k s_k + 2F_k(m_k) as
+    m_k runs and the later multiplicities stay 0."""
+    linking = compiled.linking
+    cross = 0
+    for i in range(k):
         mi = m[i]
         if mi:
-            total += mi * two_eta[i] + 2 * prefixes[i][mi]
-            row = linking[i]
-            for j in range(i + 1, n):
-                if m[j]:
-                    total += 2 * mi * m[j] * row[j]
+            cross += mi * linking[i][k]
+    return compiled.two_eta[k] + 2 * cross
+
+
+def index_formula(compiled: CompiledSystem, m: Sequence[int], prefixes: Sequence) -> int:
+    """I(m) = sum_k [m_k s_k + 2 F_k(m_k)] over the nonzero m_k, with s_k from
+    index_slope and prefixes[k][t] = F_k(t) = sum_{j=1..t} floor(j phi_k);
+    prefixes[k] needs to hold only m_k.  Nothing is checked here: callers
+    pass a validated generator."""
+    total = 0
+    for k, mk in enumerate(m):
+        if mk:
+            total += mk * index_slope(compiled, m, k) + 2 * prefixes[k][mk]
     return total
 
 

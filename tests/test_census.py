@@ -1,10 +1,13 @@
 """Census: certified enumeration, spectra, growth fits, triangle oracle."""
 
+import hashlib
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import count, product
+from math import inf
 
 import pytest
 
@@ -36,6 +39,7 @@ from echlab.indices import (
     doubled_eta,
     ech_index,
     index_formula,
+    index_slope,
     qbar_quadrant_positive,
 )
 from echlab.orbits import (
@@ -191,12 +195,73 @@ def test_census_makes_no_membership_test(monkeypatch):
     assert enumerate_generators(load_system_preset("n3"), 300).entries
 
 
-@pytest.mark.parametrize(
-    "name", ("n3", "lens3", "ellipsoid-sqrt2", "ellipsoid-golden", "ellipsoid-sqrt3")
-)
+# search nodes, entry count and a digest of the entries at --imax 8000; the
+# values come from pricing every node with index_formula, and carrying the
+# index down the search must leave them exactly as they are
+_PRESET_SEARCH = {
+    "n3": (81027, 75040, "a2de970e5b3fc038"),
+    "lens3": (1157, 1005, "cf7a1224b722502d"),
+    "ellipsoid-sqrt2": (4152, 4001, "8bb1e6fee9ed68e8"),
+    "ellipsoid-golden": (4142, 4001, "4841c846a38aa9e0"),
+    "ellipsoid-sqrt3": (4138, 4001, "510363887f87b4a3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_SEARCH))
 def test_search_nodes_per_entry(name):
     result = enumerate_generators(load_system_preset(name), 8000)
     assert len(result.entries) <= result.nodes <= 1.5 * len(result.entries)
+    digest = hashlib.sha256(repr(result.entries).encode()).hexdigest()[:16]
+    assert (result.nodes, len(result.entries), digest) == _PRESET_SEARCH[name]
+
+
+def index_formula_oracle(compiled, m, prefixes):
+    """I(m) as the double loop over orbits and over pairs i < j:
+    sum m_i 2eta_i + 2 sum F_i(m_i) + 2 sum_{i<j} m_i m_j Q_ij."""
+    two_eta, linking = compiled.two_eta, compiled.linking
+    n = len(m)
+    total = 0
+    for i in range(n):
+        mi = m[i]
+        if mi:
+            total += mi * two_eta[i] + 2 * prefixes[i][mi]
+            row = linking[i]
+            for j in range(i + 1, n):
+                if m[j]:
+                    total += 2 * mi * m[j] * row[j]
+    return total
+
+
+def test_index_fold_matches_the_double_loop():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(300):
+        system = random_census_system(rng)
+        compiled = compile_system(system)
+        n = system.n
+        tables = [floor_prefix_table(orbit.phi, 9) for orbit in system.orbits]
+        for _ in range(4):
+            m = tuple(rng.choice((0, rng.randint(1, 9))) for _ in range(n))
+            expected = index_formula_oracle(compiled, m, tables)
+            assert index_formula(compiled, m, tables) == expected, (system, m)
+            # _index's prefixes and _envelope's all-zero ones hold only the m_k
+            single = [{v: tables[k][v]} if v else None for k, v in enumerate(m)]
+            assert index_formula(compiled, m, single) == expected
+            zeros = [{v: 0} for v in m]
+            assert index_formula(compiled, m, zeros) == index_formula_oracle(
+                compiled, m, zeros
+            )
+            for k in range(n):  # only m_0..m_{k-1} enter the slope of column k
+                padded = m[:k] + (rng.randint(0, 9),) * (n - k)
+                assert index_slope(compiled, padded, k) == index_slope(compiled, m, k)
+            nonzero = [k for k in range(n) if m[k]]
+            if 0 < len(nonzero) < n:
+                seen.add("zero multiplicity")
+            if any(system.linking[i][j] < 0 for i in nonzero for j in nonzero if i < j):
+                seen.add("negative linking")
+            if compiled.faults:
+                seen.add("eta outside (1/2)Z")
+    assert seen == {"zero multiplicity", "negative linking", "eta outside (1/2)Z"}
 
 
 def test_census_ellipsoid_example():
@@ -519,6 +584,29 @@ def test_ellipsoid_verify_computes_each_floor_sum_once(monkeypatch):
             assert value == 2 * (triangle_lattice_count(phi1, m) - 1)
 
 
+def test_ellipsoid_verify_computes_each_floor_mult_once(monkeypatch):
+    real = census.floor_mult
+    calls = []
+
+    def counted(x, k):
+        calls.append((x, k))
+        return real(x, k)
+
+    monkeypatch.setattr(census, "floor_mult", counted)
+    for phi1 in (SQRT2, GOLDEN, SQRT3, *seeded_slopes(7, 12)):
+        calls.clear()
+        outcome = ellipsoid_verify(phi1, 300)
+        assert outcome.passed, outcome.first_discrepancy
+        verify_calls = Counter(calls)
+        calls.clear()
+        entries = enumerate_generators(census._ellipsoid_system(phi1), 300).entries
+        # besides the census's own prefix tables, one floor_mult(1/phi1, m2)
+        # per distinct nonzero m2
+        inverse = phi1.reciprocal()
+        wanted = Counter((inverse, m2) for m2 in {m2 for (_, m2), _ in entries if m2})
+        assert verify_calls == Counter(calls) + wanted
+
+
 def test_eta_outside_half_integers_is_rejected_everywhere():
     short, long = ELLIPSOID.orbits
     bad = OrbitSystem(
@@ -570,21 +658,18 @@ def test_min_index_on_shells_against_brute_force():
     assert min_index_on_shells(lens, []) == []
 
 
-def test_shell_search_stays_in_the_ball(monkeypatch):
-    priced = []
-
-    def recording(compiled, m, prefixes):
-        priced.append(tuple(m))
-        return index_formula(compiled, m, prefixes)
-
-    monkeypatch.setattr(census, "index_formula", recording)
+def test_shell_search_stays_in_the_ball():
     n3 = load_system_preset("n3")
     assert min_index_on_shells(n3, range(7)) == brute_force_shells(n3, 6)
-    # every priced point, prefixes (zero-padded) included, lies in the ball
-    # of radius 6: 163 of the 343 points of the box [0, 6]^3
+    # n3's lattice is all of Z^3, so the search visits every prefix m_0..m_k
+    # of the 163 points of the ball of radius 6 in the box [0, 6]^3; its node
+    # count equals the number of those prefixes exactly when no node, prefix
+    # (zero-padded) included, lies outside the ball
+    assert nullhomologous_lattice(n3).index == 1
     ball = {m for m in product(range(7), repeat=3) if sum(v * v for v in m) <= 36}
     assert len(ball) == 163
-    assert set(priced) == ball
+    prefixes = {m[:k] for m in ball for k in (1, 2, 3)}
+    assert census._walk(n3, inf, 6, 36)[3] == len(prefixes)
 
 
 def test_min_index_on_shells():
