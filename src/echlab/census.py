@@ -16,6 +16,14 @@ follows the number of generators, not the volume of the box.  It carries the
 index down the search instead of calling indices.index_formula: a node is
 priced as its parent's value + m_k s_k + 2F_k(m_k), the next term of the
 same fold (s_k from indices.index_slope, once per column).
+
+Each caller names the leaf record it reads, so no caller repacks another's:
+the index alone (spectrum, and so growth_exponent), the pair (m, I)
+(enumerate_generators, min_index_on_shells, ellipsoid_verify), or the flat
+row (m_1, ..., m_n, I) that the census command writes, optionally with J0.
+I - J0 is a sum of one closed-form term per orbit (indices.index_residual),
+so J0 is carried down the search as I is: a node passes its parent's sum
+plus the term of its own m_k, read from one column per orbit.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from functools import cache, partial
 from math import ceil, inf, isqrt, log
 from operator import itemgetter
 from statistics import linear_regression
-from typing import Callable, Sequence
+from typing import Callable, Literal, Sequence
 
 from .errors import (
     CensusBoundError,
@@ -44,9 +52,20 @@ from .orbits import (
     OrbitSystem,
     nullhomologous_lattice,
 )
-from .indices import compile_system, doubled_eta, index_slope, qbar_quadrant_positive
+from .indices import (
+    compile_system,
+    doubled_eta,
+    index_residual,
+    index_slope,
+    qbar_quadrant_positive,
+)
 
 _BOUND_BITS = 32
+
+# the leaf records of the census walk, each with its one leaf m = () of a
+# system without orbits, where I = J0 = 0
+Record = Literal["value", "pair", "row", "row_j0"]
+_EMPTY_LEAF = {"value": 0, "pair": ((), 0), "row": (0,), "row_j0": (0, 0)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,13 +129,16 @@ def _walk(
     i_max: int | float,
     box: Sequence[int] | int | None,
     norm_sq: int | float = inf,
-) -> tuple[int, list[int], list[tuple[Generator, int]], int]:
+    record: Record = "pair",
+) -> tuple[int, list[int], list, int]:
     """The lattice index, the box's per-orbit bounds (from the quadrant
-    certificate when box is None), (m, I(m)) in box order for every lattice
+    certificate when box is None), one record in box order for every lattice
     point m in the box with I(m) <= i_max and sum m_i^2 <= norm_sq, and the
-    number of search nodes.  Raises, in this order: a hyperbolic orbit, the
-    lattice's error, no certificate or a malformed box, eta outside (1/2)Z,
-    an odd index.
+    number of search nodes.  The record is I(m) for "value", (m, I(m)) for
+    "pair", (m_1, ..., m_n, I(m)) for "row" and (m_1, ..., m_n, I(m), J0(m))
+    for "row_j0".  Raises, in this order: a hyperbolic orbit, the lattice's
+    error, no certificate or a malformed box, eta outside (1/2)Z, an odd
+    index.
 
     A depth-first search fixes m_0, m_1, ... in turn, each in increasing
     order, so leaves come out in box (lexicographic) order.  The lattice's
@@ -128,12 +150,16 @@ def _walk(
     first term is carried down the search rather than re-summed: it is the
     parent's I(m_0..m_{k-1}, 0..0) (0 for column 0) + m_k s_k + 2F_k(m_k),
     with s_k = indices.index_slope computed once per column, so a node costs
-    one multiply, one read of the doubled prefix table and two adds.  When no
-    linking number is negative, the cross terms of any completion are >= 0
-    and tail[j] = sum_{l>=j} min_t (t 2eta_l + 2F_l(t)) over the box, so v
-    bounds I below on the whole subtree and a node with v > i_max is
-    skipped; otherwise tail[j] = -inf for j < n and only leaves are priced.
-    Along a column v is linear plus 2F_k(m_k), convex when phi_k >= 0
+    one multiply, one read of the doubled prefix table and two adds.  For
+    "row_j0" a node also carries r = (I - J0)(m_0..m_k, 0..0), its parent's
+    r + residual[k][m_k] with residual[k][t] = index_residual(t e_k), and a
+    leaf's J0 is I - r.
+
+    When no linking number is negative, the cross terms of any completion
+    are >= 0 and tail[j] = sum_{l>=j} min_t (t 2eta_l + 2F_l(t)) over the
+    box, so v bounds I below on the whole subtree and a node with v > i_max
+    is skipped; otherwise tail[j] = -inf for j < n and only leaves are
+    priced.  Along a column v is linear plus 2F_k(m_k), convex when phi_k >= 0
     (F_k(t+1) - F_k(t) = floor((t+1) phi_k) never decreases) and still
     convex on the progression m_k = offset_k mod b[k][k]; so once v > i_max
     and v has not fallen from the node before it, no later node of the
@@ -162,13 +188,22 @@ def _walk(
             raise ValueError("box must give a nonnegative bound per orbit")
     for i in compiled.faults:  # every orbit is elliptic, so only eta is left
         doubled_eta(system.orbits[i])  # raises, as it did when the record was built
+    lattice = compiled.lattice
+    if not n:
+        return lattice.index, limits, [_EMPTY_LEAF[record]] if i_max >= 0 else [], 1
     # doubled[k][t] = 2F_k(t), the floor term of orbit k at m_k = t
     doubled = [
         [2 * f for f in floor_prefix_table(o.phi, b)] for o, b in zip(system.orbits, limits)
     ]
-    lattice = compiled.lattice
-    if not n:
-        return lattice.index, limits, [((), 0)] if i_max >= 0 else [], 1
+    pairs, values, carry = record == "pair", record == "value", record == "row_j0"
+    if carry:  # residual[k][t] = (I - J0)(t e_k), the term of orbit k
+        residual = [
+            [index_residual(compiled, (0,) * k + (t,) + (0,) * (n - k - 1))
+             for t in range(b + 1)]
+            for k, b in enumerate(limits)
+        ]
+    else:  # r stays 0
+        residual = [[0] * (b + 1) for b in limits]
     basis = lattice.basis
     least = [
         min(t * two_eta + f for t, f in enumerate(table))
@@ -179,38 +214,50 @@ def _walk(
     convex = [orbit.phi.sign() >= 0 for orbit in system.orbits]
     m = [0] * n
     coefficients = [0] * n
-    entries: list[tuple[Generator, int]] = []
+    entries: list = []
     nodes = 0
 
-    def column(k: int, used_sq: int, base: int) -> None:
+    def column(k: int, used_sq: int, base: int, r: int) -> None:
         nonlocal nodes
         pivot, rest, stops, leaf = basis[k][k], tail[k + 1], convex[k], k == n - 1
-        slope, twice_f = index_slope(compiled, m, k), doubled[k]
+        slope, twice_f, terms = index_slope(compiled, m, k), doubled[k], residual[k]
         offset = sum(coefficients[i] * basis[i][k] for i in range(k))
         top = limits[k] if norm_sq == inf else min(limits[k], isqrt(norm_sq - used_sq))
+        append = entries.append
         previous = inf
-        for mk in range(offset % pivot, top + 1, pivot):
-            nodes += 1
+        # a column's nodes are counted when it ends, not one by one
+        steps = range(offset % pivot, top + 1, pivot)
+        for mk in steps:
             m[k] = mk
             here = base + mk * slope + twice_f[mk]  # I(m_0..m_k, 0..0)
             value = here + rest
             if value > i_max:
                 if stops and value >= previous:
+                    nodes += steps.index(mk) + 1
                     break
             elif leaf:
                 if value % 2:
                     raise IndexParityError(
                         f"odd index {value} at {tuple(m)}; eta inputs inconsistent"
                     )
-                entries.append((tuple(m), value))
+                if pairs:
+                    append((tuple(m), value))
+                elif values:
+                    append(value)
+                elif carry:
+                    append((*m, value, value - r - terms[mk]))
+                else:
+                    append((*m, value))
             else:
                 coefficients[k] = (mk - offset) // pivot
-                column(k + 1, used_sq + mk * mk, here)
+                column(k + 1, used_sq + mk * mk, here, r + terms[mk])
             previous = value
+        else:
+            nodes += len(steps)
         m[k] = 0
 
     try:
-        column(0, 0, 0)
+        column(0, 0, 0, 0)
     finally:
         # column refers to itself through its closure; that cycle would keep
         # entries and the tables alive until the cyclic collector ran
@@ -234,9 +281,28 @@ def enumerate_generators(
     return CensusResult(i_max, tuple(entries), lattice_index, recorded_box, nodes)
 
 
+def census_rows(
+    system: OrbitSystem,
+    i_max: int,
+    box: Sequence[int] | int | None = None,
+    j0: bool = False,
+) -> tuple[int, tuple[int, ...] | None, list[tuple[int, ...]]]:
+    """The census of enumerate_generators as flat rows: the lattice index,
+    the recorded box (None for a certified-complete census) and the rows
+    (m_1, ..., m_n, I), or (m_1, ..., m_n, I, J0) with j0, sorted by (I, m).
+    The same walk, so the same checks and errors in the same order."""
+    lattice_index, limits, rows, _ = _walk(
+        system, i_max, box, record="row_j0" if j0 else "row"
+    )
+    rows.sort(key=itemgetter(system.n))  # stable, so ties stay in box order
+    return lattice_index, None if box is None else tuple(limits), rows
+
+
 def spectrum(system: OrbitSystem, i_max: int, box=None) -> list[int]:
     """Sorted multiset of indices of all generators with index <= i_max."""
-    return sorted(value for _, value in _walk(system, i_max, box)[2])
+    values = _walk(system, i_max, box, record="value")[2]
+    values.sort()
+    return values
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,9 +8,11 @@ and densities as CSV.  Exit status: 0 success/pass, 1 verification failure,
 Output goes through json.dumps(indent=2) and csv.writer, except the
 census's entries and rows.  The census is the one command whose output grows
 with its answer (megabytes at large cutoffs), and with indent set json.dumps
-runs CPython's pure-Python encoder.  Census entries hold only ints, so each
-is written from one %-template, byte for byte as json.dumps and csv.writer
-would write it.
+runs CPython's pure-Python encoder.  Census entries hold only ints, so the
+command takes the census as flat rows (m_1, ..., m_n, I) sorted by I
+(census.census_rows; for CSV each row also holds J0, carried down the
+search as I is) and fills one %-template per row, byte for byte as
+json.dumps and csv.writer would write it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from operator import itemgetter
 from pathlib import Path
 
 from . import census as census_mod
@@ -122,50 +123,39 @@ def _cmd_index(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _census_json(result: census_mod.CensusResult, n: int) -> str:
+def _census_json(
+    cutoff: int, lattice_index: int, box: tuple[int, ...] | None, rows: list, n: int
+) -> str:
     """The census as json.dumps(payload, indent=2) lays it out: the header
-    through json.dumps, the entries from one template, since they hold only
-    ints."""
+    through json.dumps, each entry from one template filled with the walk's
+    flat row (m_1, ..., m_n, I), since entries hold only ints."""
     text = json.dumps(
         {
-            "imax": result.cutoff,
-            "lattice_index": result.lattice_index,
-            "box": list(result.box) if result.box is not None else None,
-            "complete": result.box is None,
+            "imax": cutoff,
+            "lattice_index": lattice_index,
+            "box": list(box) if box is not None else None,
+            "complete": box is None,
             "entries": [],
         },
         indent=2,
     )
-    if not result.entries:
+    if not rows:
         return text
     m_list = "[\n" + ",\n".join(["        %d"] * n) + "\n      ]" if n else "[]"
     entry = '    {\n      "m": ' + m_list + ',\n      "I": %d\n    }'
-    body = ",\n".join([entry % (*m, value) for m, value in result.entries])
+    body = ",\n".join([entry % row for row in rows])
     return text[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}"
 
 
-def _census_csv(system: OrbitSystem, result: census_mod.CensusResult) -> str:
-    """Rows m_1..m_n, I, J0, mod2.  The entries are checked generators of an
-    all-elliptic system, so mod2, which counts positive-hyperbolic orbits, is
-    0, and J0 = I - (I - J0) by the closed form.  That form is a sum of one
-    term per orbit, so it is read from one column per orbit: column i holds
-    index_residual(t * e_i) for t = 0..max m_i."""
-    n = system.n
-    compiled = indices.compile_system(system)
-    ms = [m for m, _ in result.entries]
-    values = j0 = [value for _, value in result.entries]
-    for i in range(n):
-        top = max(map(itemgetter(i), ms), default=0)
-        column = [
-            indices.index_residual(compiled, (0,) * i + (t,) + (0,) * (n - i - 1))
-            for t in range(top + 1)
-        ]
-        j0 = [j - column[m[i]] for j, m in zip(j0, ms)]
+def _census_csv(rows: list, n: int) -> str:
+    """Rows m_1..m_n, I, J0, mod2, each from one template filled with the
+    walk's flat row (m_1, ..., m_n, I, J0).  The walk carries I - J0 down its
+    search as it carries I.  The rows are checked generators of an
+    all-elliptic system, so mod2, which counts positive-hyperbolic orbits,
+    is 0."""
     header = ",".join([f"m_{i + 1}" for i in range(n)] + ["I", "J0", "mod2"])
     row = "%d," * (n + 2) + "0\n"
-    return header + "\n" + "".join(
-        [row % (*m, value, j) for m, value, j in zip(ms, values, j0)]
-    )
+    return header + "\n" + "".join([row % r for r in rows])
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -174,11 +164,14 @@ def _cmd_census(args: argparse.Namespace) -> int:
         box = None
     else:  # --box "" is the empty box, the only box of a system with no orbits
         box = tuple(int(v) for v in args.box.split(",")) if args.box else ()
-    result = census_mod.enumerate_generators(system, args.imax, box)
-    if args.format == "csv":
-        _emit(args, _census_csv(system, result))
+    as_csv = args.format == "csv"
+    lattice_index, recorded_box, rows = census_mod.census_rows(
+        system, args.imax, box, j0=as_csv
+    )
+    if as_csv:
+        _emit(args, _census_csv(rows, system.n))
     else:
-        _emit(args, _census_json(result, system.n))
+        _emit(args, _census_json(args.imax, lattice_index, recorded_box, rows, system.n))
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import count, product
 from math import inf
+from operator import itemgetter
 
 import pytest
 
@@ -15,6 +16,7 @@ from echlab import census
 from echlab.census import (
     CensusResult,
     _certified_box,
+    census_rows,
     ellipsoid_verify,
     enumerate_generators,
     fit_shell_lower_bound,
@@ -39,6 +41,7 @@ from echlab.indices import (
     doubled_eta,
     ech_index,
     index_formula,
+    index_residual,
     index_slope,
     qbar_quadrant_positive,
 )
@@ -213,6 +216,62 @@ def test_search_nodes_per_entry(name):
     assert len(result.entries) <= result.nodes <= 1.5 * len(result.entries)
     digest = hashlib.sha256(repr(result.entries).encode()).hexdigest()[:16]
     assert (result.nodes, len(result.entries), digest) == _PRESET_SEARCH[name]
+
+
+def test_every_leaf_record_agrees_with_the_pairs():
+    """The walk's value, row and row-with-J0 records are the pair record
+    (m, I) reshaped, in the same order, with the same nodes, or the same
+    error; the public callers of each record sort them alike."""
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(400):
+        system = random_census_system(rng)
+        n = system.n
+        i_max = rng.randint(-2, _ORACLE_CUTOFF[n])
+        box = tuple(rng.randint(0, _ORACLE_BOX[n]) for _ in range(n))
+        for box in (box, None):
+            pairs = _outcome(lambda: census._walk(system, i_max, box))
+            shapes = {
+                record: _outcome(lambda: census._walk(system, i_max, box, record=record))
+                for record in ("value", "row", "row_j0")
+            }
+            if isinstance(pairs[0], type):  # refused: every record fails alike
+                assert all(got == pairs for got in shapes.values()), (system, box)
+                seen.add(pairs[1].split(": ")[-1] if pairs[0] is ValueError else pairs[0])
+                continue
+            compiled = compile_system(system)
+            head, entries = pairs[:2] + pairs[3:], pairs[2]
+            expected = {
+                "value": [value for _, value in entries],
+                "row": [(*m, value) for m, value in entries],
+                "row_j0": [
+                    (*m, value, value - index_residual(compiled, m)) for m, value in entries
+                ],
+            }
+            for record, got in shapes.items():
+                assert got[:2] + got[3:] == head, (system, box, record)
+                assert got[2] == expected[record], (system, box, record)
+            result = enumerate_generators(system, i_max, box)
+            ordered = [(*m, value) for m, value in result.entries]
+            assert spectrum(system, i_max, box) == sorted(expected["value"])
+            assert census_rows(system, i_max, box) == (result.lattice_index, result.box, ordered)
+            with_j0 = census_rows(system, i_max, box, j0=True)[2]
+            assert with_j0 == sorted(expected["row_j0"], key=itemgetter(n))  # stable
+            if not n:
+                seen.add(("n = 0", bool(entries)))
+            elif entries:
+                seen.add("certified" if box is None else "boxed")
+                if any(system.linking[i][j] < 0 for i in range(n) for j in range(i + 1, n)):
+                    seen.add("negative linking")
+                if any(orbit.phi.sign() <= 0 for orbit in system.orbits):
+                    seen.add("phi <= 0")
+                if any(orbit.eta.denominator == 2 for orbit in system.orbits):
+                    seen.add("half-integer eta")
+    assert seen >= {
+        IndexParityError, "eta must lie in (1/2)Z", CensusBoundError,
+        ("n = 0", True), ("n = 0", False), "certified", "boxed",
+        "negative linking", "phi <= 0", "half-integer eta",
+    }
 
 
 def index_formula_oracle(compiled, m, prefixes):

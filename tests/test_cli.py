@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from echlab import census as census_mod
-from echlab import indices
+from echlab import cli, indices
 from echlab.census import enumerate_generators
 from echlab.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFICATION_FAILED, main, parse_exact
 from echlab.errors import EchlabError
@@ -22,9 +22,11 @@ from echlab.orbits import (
     OrbitSystem,
     system_from_json,
     system_to_json,
+    validate_system,
 )
 from echlab.presets_io import SYSTEM_PRESETS, load_system_preset
 
+from test_census import _ORACLE_CUTOFF, random_census_system
 from test_indices import j0_oracle
 
 
@@ -429,6 +431,50 @@ def test_census_output_matches_oracle_on_random_systems(capsys, tmp_path):
     # every n, with and without torsion, saw an empty, a one-entry and a
     # many-entry census
     assert len(shapes) == 3 * 2 * 3
+
+
+def test_census_output_matches_oracle_on_signed_and_half_integer_systems(
+    capsys, tmp_path, monkeypatch
+):
+    """Seeded systems with negative linking, zero or negative phi and
+    half-integer eta, read from a system file, with and without --box.  A
+    system with eta outside (1/2)Z fails the file's validation, so it
+    reaches the census through a preset lookup, which does not validate,
+    and the census's own refusal is compared."""
+    rng = random.Random(17)
+    path = tmp_path / "system.json"
+    seen = set()
+    for i in range(90):
+        system = random_census_system(rng)
+        n = system.n
+        if n and i % 9 == 0:
+            first = replace(system.orbits[0], eta=Fraction(rng.choice((1, -5, 7)), 3))
+            system = replace(system, orbits=(first, *system.orbits[1:]))
+        path.write_text(json.dumps(system_to_json(system)))
+        source = ("--system", str(path))
+        if not validate_system(system).ok:
+            for fmt in ("json", "csv"):
+                code, out, err = run_cli(
+                    capsys, "census", *source, "--imax", "9", "--format", fmt
+                )
+                assert (code, out) == (EXIT_INPUT_ERROR, "")
+                assert err.startswith("error: invalid system: orbit o")
+            monkeypatch.setattr(cli, "load_system_preset", lambda name: system)
+            source = ("--preset", "unvalidated")
+        imax = rng.randint(-2, _ORACLE_CUTOFF[n])
+        box = tuple(rng.randint(0, 6) for _ in range(n))
+        assert_census_matches_oracle(capsys, system, source, imax, box)
+        code, out, err = census_oracle(system, imax, box, "csv")
+        if code != EXIT_OK:
+            seen.add("odd index" if "odd index" in err else err.split(": ")[-1])
+        elif out.count("\n") > 2:  # a header and at least two rows
+            if any(q < 0 for row in system.linking for q in row):
+                seen.add("negative linking")
+            if any(orbit.eta.denominator == 2 for orbit in system.orbits):
+                seen.add("half-integer eta")
+    assert seen == {
+        "negative linking", "half-integer eta", "odd index", "eta must lie in (1/2)Z\n"
+    }
 
 
 def test_census_output_matches_oracle_on_the_empty_system(capsys, tmp_path):
