@@ -422,7 +422,13 @@ def floor_sum(x: ExactReal, n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    p, q, r, d = x.num, x.q, x.den, x.d
+    return _floor_sum_state(x.num, x.q, x.den, x.d, n)
+
+
+def _floor_sum_state(p: int, q: int, r: int, d: int, n: int) -> int:
+    """floor_sum of (p + q*sqrt(d))/r for r > 0, d not a square when q != 0,
+    and n >= 0.  The state need not be in lowest terms: _inverse_state
+    reduces it after the first step."""
     if q == 0:
         return _rational_floor_sum(p, r, n)
     total, sign = 0, 1

@@ -24,10 +24,13 @@ package's one per-system cache.  It holds the elliptic flags, 2*eta from
 doubled_eta (or the error it raised, re-raised by the calls it blocks), the
 linking rows, the nullhomologous lattice, and each phi as integers (P, Q, d)
 over one common denominator R, with every radicand of one field rescaled to
-the field's smallest.  qbar, the envelope and I - J0 are integer sums over R.
+the field's smallest.  qbar, the envelope and I - J0 are integer sums over R,
+and the floor prefixes F_i(m_i) of I come from a memo keyed on the record's
+integers (P, Q, R, d) and m_i, so a checked call hashes no ExactReal.
 qbar is defined exactly when the irrational phi_i with m_i != 0 lie in one
 field, whatever the orbit order; otherwise it raises MixedFieldError and
-index_report gives None.
+index_report gives None.  In that one-field case the envelope's floor is one
+isqrt certificate too; only mixed fields need floor_radical_sum's refinement.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ from .errors import (
 from .exactreal import (
     ExactReal,
     _floor_state,
+    _floor_sum_state,
     ceil_mult,
     floor_mult,
     floor_radical_sum,
-    floor_sum,
     multiple_is_integral,
     same_field,
 )
@@ -77,9 +80,13 @@ def conley_zehnder(theta: ExactReal, k: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _floor_prefix(phi: ExactReal, m: int) -> int:
-    """sum_{k=1..m} floor(k*phi); memoized since index formulas reuse it."""
-    return floor_sum(phi, m)
+def _floor_prefix(phi: tuple[int, int, int], r: int, m: int) -> int:
+    """sum_{k=1..m} floor(k*phi) for phi = (P + Q*sqrt(d))/r, memoized since
+    checked calls reuse it.  The key is a CompiledSystem's integers: its
+    (P, Q, d) tuple for phi and its denominator R.  One value may sit under
+    several keys (over different R), but a key never names two values."""
+    p, q, d = phi
+    return _floor_sum_state(p, q, r, d, m)
 
 
 def doubled_eta(orbit) -> int:
@@ -218,11 +225,12 @@ def _check_generator(system: OrbitSystem, m: Sequence[int]) -> tuple[Generator, 
     return m, compiled
 
 
-def _index(system: OrbitSystem, m: Generator, compiled: CompiledSystem) -> int:
+def _index(m: Generator, compiled: CompiledSystem) -> int:
     """I on a checked generator; an odd value means inconsistent eta."""
+    den = compiled.denominator
     prefixes = [
-        {mult: _floor_prefix(orbit.phi, mult)} if mult else None
-        for orbit, mult in zip(system.orbits, m)
+        {mult: _floor_prefix(phi, den, mult)} if mult else None
+        for mult, phi in zip(m, compiled.phi)
     ]
     total = index_formula(compiled, m, prefixes)
     if total % 2:
@@ -235,13 +243,13 @@ def _index(system: OrbitSystem, m: Generator, compiled: CompiledSystem) -> int:
 def ech_index(system: OrbitSystem, m: Sequence[int]) -> int:
     """Absolute ECH index; an even integer, with I(empty) = 0."""
     m, compiled = _check_generator(system, m)
-    return _index(system, m, compiled)
+    return _index(m, compiled)
 
 
 def j0_index(system: OrbitSystem, m: Sequence[int]) -> int:
     """Absolute J0 index, with J0(empty) = 0, as I minus the closed form I - J0."""
     m, compiled = _check_generator(system, m)
-    value_i = _index(system, m, compiled)
+    value_i = _index(m, compiled)
     return value_i - index_residual(compiled, m)
 
 
@@ -275,40 +283,47 @@ def qbar(system: OrbitSystem, m: Sequence) -> ExactReal:
     """
     if len(m) != system.n:
         raise ValueError("dimension mismatch")
-    return _qbar(system, compile_system(system), m)
-
-
-def _qbar(system: OrbitSystem, compiled: CompiledSystem, m: Sequence) -> ExactReal:
-    """qbar over the system's compiled record, on m of the system's length."""
+    compiled = compile_system(system)
     scale = 1
     if not all(type(v) is int for v in m):
         weights = [Fraction(v) for v in m]
         scale = lcm(*(w.denominator for w in weights))
         m = [w.numerator * (scale // w.denominator) for w in weights]
+    for i, w in enumerate(m):
+        if w and not compiled.elliptic[i]:
+            raise HyperbolicOrbitError(f"orbit {system.orbits[i].name} is hyperbolic; qbar needs phi")
+    value = _qbar(compiled, m)
+    if value is None:
+        raise MixedFieldError("the irrational phi_i with m_i != 0 span several quadratic fields")
+    if scale == 1:
+        return value
+    return ExactReal._in_field(value.num, value.q, value.den * scale * scale, value.d)
+
+
+def _qbar(compiled: CompiledSystem, m: Sequence[int]) -> ExactReal | None:
+    """qbar on integer m of the system's length whose nonzero entries sit on
+    elliptic orbits, over the compiled record; None when the irrational phi_i
+    with m_i != 0 span two or more fields."""
     n = len(m)
     rational = radical = cross = 0
     field = None
-    mixed = False
     for i in range(n):
         w = m[i]
         if not w:
             continue
-        if not compiled.elliptic[i]:
-            raise HyperbolicOrbitError(f"orbit {system.orbits[i].name} is hyperbolic; qbar needs phi")
         p, q, d = compiled.phi[i]
         rational += w * w * p
         if q:
+            if field is not None and d != field:
+                return None
             radical += w * w * q
-            mixed = mixed or (field is not None and d != field)
             field = d
         row = compiled.linking[i]
         for j in range(i + 1, n):
             if m[j]:
                 cross += w * m[j] * row[j]
-    if mixed:
-        raise MixedFieldError("the irrational phi_i with m_i != 0 span several quadratic fields")
     den = compiled.denominator
-    return ExactReal._in_field(rational + 2 * cross * den, radical, den * scale * scale, field or 1)
+    return ExactReal._in_field(rational + 2 * cross * den, radical, den, field or 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -391,31 +406,62 @@ def index_envelope(system: OrbitSystem, m: Sequence[int]) -> tuple[int, int]:
 
     From k*phi - 1 < floor(k*phi) <= k*phi the index satisfies
     2S - 2|m| < I <= 2S with S the formula's floor-free evaluation; the
-    bounds are rounded outward with a certified multi-radical floor.
+    bounds are rounded outward with a certified floor: one isqrt when the
+    irrational phi_i with m_i != 0 lie in one field, the multi-radical
+    refinement of floor_radical_sum when they span several.
     """
-    return _envelope(system, *_check_generator(system, m))
+    return _envelope(*_check_generator(system, m))
 
 
-def _envelope(system: OrbitSystem, m: Generator, compiled: CompiledSystem) -> tuple[int, int]:
+class _ReadAs:
+    """A read-only table that holds one value under every key."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __getitem__(self, key):
+        return self.value
+
+
+# index_formula's prefixes with every F_k(t) read as 0, shared by every call
+_NO_FLOORS = _ReadAs(_ReadAs(0))
+
+
+def _envelope(m: Generator, compiled: CompiledSystem) -> tuple[int, int]:
+    """index_envelope on a checked generator.  hi is the formula with every
+    floor prefix read as 0 plus floor(sum m_i(m_i + 1) phi_i).  That floor is
+    one _floor_state certificate when the irrational phi_i with m_i != 0
+    share one radicand, which compile_system makes true of one field, or
+    when there are none; only mixed fields reach floor_radical_sum."""
     total_mult = sum(m)
     if total_mult == 0:
         return (0, 0)
-    # the formula with every floor prefix F_i(m_i) read as 0
-    floor_free = index_formula(compiled, m, [{mult: 0} for mult in m])
+    floor_free = index_formula(compiled, m, _NO_FLOORS)
     # sum m_i(m_i + 1) phi_i = (rational + sum radical_d sqrt(d))/R, and for
     # an integer R > 0, floor(x/R) = floor(floor(x)/R)
-    rational = 0
-    radicals = []
+    den = compiled.denominator
+    rational = radical = 0
+    field = None  # the radicand of the first irrational phi_i met
+    others = []  # (coefficient, radicand) of the phi_i in other fields
     for mult, phi in zip(m, compiled.phi):
         if mult:
             p, q, d = phi
             weight = mult * (mult + 1)
             rational += p * weight
-            if q:
-                radicals.append((q * weight, d))
-    hi = floor_free + floor_radical_sum(rational, radicals) // compiled.denominator
-    lo = hi - 2 * total_mult + 1
-    return (lo, hi)
+            if not q:
+                continue
+            if field is None or d == field:
+                radical += q * weight
+                field = d
+            else:
+                others.append((q * weight, d))
+    if others:
+        hi = floor_free + floor_radical_sum(rational, [(radical, field), *others]) // den
+    else:
+        hi = floor_free + _floor_state(rational, radical, den, field or 1)
+    return (hi - 2 * total_mult + 1, hi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -442,17 +488,13 @@ def index_report(system: OrbitSystem, m: Sequence[int]) -> IndexReport:
     """Full report; qbar is None when the irrational phi_i with m_i != 0 span
     two or more fields."""
     m, compiled = _check_generator(system, m)
-    value_i = _index(system, m, compiled)
-    try:
-        q = _qbar(system, compiled, m)
-    except MixedFieldError:
-        q = None
+    value_i = _index(m, compiled)
     return IndexReport(
         I=value_i,
         J0=value_i - index_residual(compiled, m),
         mod2=0,  # every orbit a checked generator covers is elliptic
-        qbar=q,
-        envelope=_envelope(system, m, compiled),
+        qbar=_qbar(compiled, m),
+        envelope=_envelope(m, compiled),
     )
 
 

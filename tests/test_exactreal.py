@@ -5,12 +5,13 @@ from math import isqrt
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echlab.errors import EchlabError, MixedFieldError, RefinementError
 from echlab.exactreal import (
     ExactReal,
+    _floor_sum_state,
     ceil_mult,
     compare,
     continued_fraction,
@@ -163,6 +164,31 @@ def test_floor_sum_examples():
 )
 def test_floor_sum_matches_termwise_floors(x, n):
     assert floor_sum(x, n) == sum(floor_mult(x, k) for k in range(1, n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-60, 60),
+    st.integers(-40, 40),
+    st.integers(1, 30),
+    # (s, f): the radicand s^2 f, held as s sqrt(f) the way compile_system
+    # rescales every radicand of a field to its smallest
+    st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 5), (2, 7), (1, 6)]),
+    st.integers(1, 12),
+    st.integers(0, 200),
+)
+@example(0, 1, 1, (2, 2), 3, 200)  # sqrt(8) = 2 sqrt(2) over R = 3
+@example(1, 1, 2, (2, 3), 5, 200)  # (1 + sqrt(12))/2 = (1 + 2 sqrt(3))/2 over R = 10
+@example(7, 0, 3, (1, 2), 4, 200)  # rational 7/3 over R = 12
+@example(2, 2, 4, (1, 5), 1, 200)  # the unreduced state (2 + 2 sqrt(5))/4
+def test_floor_sum_state_needs_no_lowest_terms(p, q, r, radicand, scale, m):
+    # the state a CompiledSystem holds: every coefficient over a common
+    # denominator R = scale * r, the radicand rescaled, gcd(P, Q, R) > 1 allowed
+    s, f = radicand
+    x = ExactReal.from_quadratic(p, q, r, s * s * f)
+    state = (p * scale, q * s * scale, r * scale, f if q else 1)
+    termwise = sum(floor_mult(x, k) for k in range(1, m + 1))
+    assert _floor_sum_state(*state, m) == floor_sum(x, m) == termwise
 
 
 @settings(max_examples=200)

@@ -19,7 +19,8 @@ from echlab.errors import (
     NotNullhomologousError,
     RefinementError,
 )
-from echlab.exactreal import ExactReal, floor_radical_sum, floor_sum, make_exact
+from echlab import indices
+from echlab.exactreal import ExactReal, floor_mult, floor_radical_sum, floor_sum, make_exact
 from echlab.indices import (
     CYLINDER,
     INFEASIBLE,
@@ -698,6 +699,89 @@ def test_kernel_matches_fraction_oracles():
 )
 def test_floor_radical_sum_matches_fraction_oracle(rational, radicals):
     assert floor_radical_sum(rational, radicals) == _floor_radical_sum_oracle(rational, radicals)
+
+
+def _one_field_system(rng, n):
+    """n elliptic orbits whose irrational phis (p + q sqrt(s^2 f))/r all lie in
+    Q(sqrt f), under the radicands f, 4f and 9f as given, or all rational
+    (f = 1); with the Fraction data of each phi over sqrt(f) for the oracle."""
+    f = rng.choice((1, 2, 3, 5))
+    phis, parts = [], []
+    for _ in range(n):
+        s = rng.choice((1, 2, 3)) if f > 1 else 1
+        p, r = rng.randint(-4, 9), rng.randint(1, 6)
+        q = rng.choice((-2, -1, 0, 1, 2, 3)) if f > 1 else 0
+        phis.append(ExactReal(p, q, r, s * s * f) if q else ExactReal.from_rational(p, r))
+        parts.append((Fraction(p, r), Fraction(q * s, r)))
+    linking = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            linking[i][j] = linking[j][i] = rng.randint(-3, 3)
+    orbits = tuple(
+        Orbit(f"o{i}", ELLIPTIC, eta=Fraction(rng.randint(-2, 3)), phi=phi)
+        for i, phi in enumerate(phis)
+    )
+    return OrbitSystem(orbits, tuple(map(tuple, linking)), Homology()), parts, f
+
+
+def test_one_field_envelope_matches_fraction_oracle(monkeypatch):
+    # one field or none: the envelope is one _floor_state certificate and
+    # never reaches floor_radical_sum
+    def refuse(*args):
+        raise AssertionError("floor_radical_sum called on a one-field envelope")
+
+    monkeypatch.setattr(indices, "floor_radical_sum", refuse)
+    rng = random.Random(25)
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(0, 4)
+        system, parts, f = _one_field_system(rng, n)
+        radicands = {o.phi.d for o in system.orbits if o.phi.q}
+        for _ in range(8):
+            m = tuple(rng.choice((0, 1, 2, 7, 50, 10**5)) for _ in range(n))
+            if sum(m) == 0:
+                expected = (0, 0)
+            else:
+                rational = sum(rat * v * (v + 1) for (rat, _), v in zip(parts, m))
+                radical = sum(coeff * v * (v + 1) for (_, coeff), v in zip(parts, m))
+                floor_free = index_formula(compile_system(system), m, [{v: 0} for v in m])
+                hi = floor_free + _floor_radical_sum_oracle(rational, [(radical, f)] if f > 1 else [])
+                expected = (hi - 2 * sum(m) + 1, hi)
+            assert index_envelope(system, m) == expected, (system, m)
+            assert index_report(system, m).envelope == expected
+            seen.add(n)
+            seen.add("rational" if f == 1 else "one-field")
+            if len(radicands) > 1:
+                seen.add("several-radicands")
+    assert seen == {0, 1, 2, 3, 4, "rational", "one-field", "several-radicands"}
+
+
+def test_warm_prefix_memo_keeps_systems_apart():
+    # pairs that hold one phi value under two common denominators R, and
+    # pairs whose memo keys would collide with R or d left out of the key
+    pairs = [
+        ([(0, 1, 1, 2), (1, 3)], [(0, 1, 1, 2), (1, 5)]),  # sqrt 2 over R = 3 and R = 5
+        ([(1, 1, 2, 5), (1, 4)], [(1, 1, 2, 5), (1, 6)]),  # the golden ratio over R = 4 and 6
+        ([(1, 1, 2, 2), (1, 2)], [(1, 1, 3, 2), (1, 3)]),  # (P, Q, d) = (1, 1, 2), R = 2 and 3
+        ([(1, 1, 1, 2), (2, 1)], [(1, 1, 1, 3), (2, 1)]),  # (P, Q, R) = (1, 1, 1), d = 2 and 3
+        ([(1, 2), (0, 1, 1, 2)], [(1, 3), (0, 1, 1, 2)]),  # rational (1, 0, R, 1), R = 2 and 3
+    ]
+    generators = list(product(range(13), range(4)))
+    for first, second in pairs:
+        systems = [make_system(phis) for phis in (first, second)]
+        expected = [
+            [index_formula(compile_system(system), m,
+                           [{v: sum(floor_mult(o.phi, k) for k in range(1, v + 1))}
+                            for o, v in zip(system.orbits, m)])
+             for m in generators]
+            for system in systems
+        ]
+        for order in ((0, 1), (1, 0)):
+            indices._floor_prefix.cache_clear()
+            for i in order:
+                got = [index_report(systems[i], m).I for m in generators]
+                assert got == expected[i], (order, i)
+                assert got == [ech_index(systems[i], m) for m in generators]
 
 
 # -- the checked entry points raise in one order ------------------------------
