@@ -12,7 +12,8 @@ runs CPython's pure-Python encoder.  Census entries hold only ints, so the
 command takes the census as flat rows (m_1, ..., m_n, I) sorted by I
 (census.census_rows; for CSV each row also holds J0, carried down the
 search as I is) and fills one %-template per row, byte for byte as
-json.dumps and csv.writer would write it.
+json.dumps and csv.writer would write it.  torus-map's period rows, one per
+period up to --pmax, are filled from one template the same way.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     system = _load_system_arg(args)
-    m = tuple(int(v) for v in args.m.split(","))
+    # --m "" is the empty generator, the only generator of a system with no orbits
+    m = tuple(int(v) for v in args.m.split(",")) if args.m else ()
     report = indices.index_report(system, m)
     _emit(args, json.dumps({"m": list(m), **report.to_json()}, indent=2))
     return EXIT_OK
@@ -269,6 +271,32 @@ def _cmd_zeta_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_PERIOD_ROW = '    {\n      "p": %d,\n      "kind": "%s",\n      "count": %s\n    }'
+
+
+def _torus_json(tm: lefschetz.AffineTorusMap, p_max: int,
+                report: lefschetz.TorusOrbitReport) -> str:
+    """The report as json.dumps(payload, indent=2) lays it out: the header
+    through json.dumps, each period row from one template, with null for a
+    row that has no count."""
+    text = json.dumps(
+        {
+            "A": [list(r) for r in tm.matrix],
+            "b": [v.to_json() for v in tm.translation],
+            "pmax": p_max,
+            "verdict": report.verdict,
+            "first_period": report.first_period,
+            "periods": [],
+        },
+        indent=2,
+    )
+    body = ",\n".join([
+        _PERIOD_ROW % (p, r.kind, "null" if r.count is None else r.count)
+        for p, r in report.rows
+    ])
+    return text[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}"
+
+
 def _cmd_torus_map(args: argparse.Namespace) -> int:
     if args.preset:
         tm = load_torus_preset(args.preset)
@@ -278,19 +306,8 @@ def _cmd_torus_map(args: argparse.Namespace) -> int:
         matrix = json.loads(args.A)
         translation = [parse_exact(v) for v in _split_top_level(args.b)]
         tm = lefschetz.AffineTorusMap.build(matrix, translation)
-    p_max = args.pmax
-    report = lefschetz.torus_orbit_report(tm, p_max)
-    payload = {
-        "A": [list(r) for r in tm.matrix],
-        "b": [v.to_json() for v in tm.translation],
-        "pmax": p_max,
-        "verdict": report.verdict,
-        "first_period": report.first_period,
-        "periods": [
-            {"p": p, "kind": r.kind, "count": r.count} for p, r in report.rows
-        ],
-    }
-    _emit(args, json.dumps(payload, indent=2))
+    report = lefschetz.torus_orbit_report(tm, args.pmax)
+    _emit(args, _torus_json(tm, args.pmax, report))
     return EXIT_OK
 
 

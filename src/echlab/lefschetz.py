@@ -6,20 +6,21 @@ reads det(1 - tA) * prod_orbits (1 - t^p) = (1 - t)^2, where A is the induced
 map on first homology.  The polynomial identity is its own certificate:
 its log-derivative is the list of per-iterate fixed-point counts, and its
 degree leaves two solutions, which the solver returns in closed form.  Affine
-maps x -> Ax + b on the torus are checked for p-periodic points by exact
-linear algebra over the translation's quadratic field.
+maps x -> Ax + b on the torus are checked for p-periodic points in integer
+arithmetic alone: a tabulated period costs one 2 x 2 integer product and sum,
+and a singular period adds one or two divisibility tests on the integer parts
+(num, q, den, d) of the translation, read once per map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Sequence
 
 from .exactreal import ExactReal, make_exact
-from .intlinalg import det, identity, mat_mul, mat_pow, mat_sub, trace
+from .intlinalg import det, mat_pow, trace
 
 Poly = list[int]  # coefficient list, index = power of t
 
@@ -204,46 +205,40 @@ class PeriodicPointReport:
     count: int | None = None
 
 
-def _is_integral_combination(pairs: Sequence[tuple[int, ExactReal]]) -> bool:
-    """Whether sum coeff * value is an integer, deciding by field components."""
-    rational = Fraction(0)
-    radicals: dict[int, Fraction] = {}
-    for coeff, value in pairs:
-        rat, coeff_rad, d = value.decompose()
-        rational += coeff * rat
-        if coeff_rad:
-            radicals[d] = radicals.get(d, Fraction(0)) + coeff * coeff_rad
-    if any(v != 0 for v in radicals.values()):
-        return False
-    return rational.denominator == 1
+# the two reports that carry no count, shared by every period that has one
+_NO_POINTS = PeriodicPointReport(NONE)
+_CIRCLES = PeriodicPointReport(POSITIVE_DIMENSIONAL)
 
 
-def _classify(a_pow: Sequence[Sequence[int]], geometric: Sequence[Sequence[int]],
-              translation: tuple[ExactReal, ExactReal]) -> PeriodicPointReport:
-    """Solutions of (A^p - I) x = -c_p (mod Z^2), given A^p and the geometric
-    sum S_p = I + A + ... + A^(p-1), with c_p = S_p b."""
-    b_matrix = mat_sub(a_pow, identity(2))
-    determinant = det(b_matrix)
-    if determinant != 0:
-        return PeriodicPointReport(COUNT, abs(determinant))
-    # singular: solvable exactly when u . c_p is integral for every row u of
-    # the left kernel of A^p - I, all of Z^2 for the zero matrix and else
-    # spanned by the primitive row orthogonal to a nonzero column (a, c)
-    column = next((col for col in zip(*b_matrix) if any(col)), None)
-    if column is None:
-        kernel = identity(2)
-    else:
-        a, c = column
-        g = gcd(a, c)
-        kernel = [[c // g, -a // g]]
-    # u . c_p = (u S_p) . b
-    (s00, s01), (s10, s11) = geometric
-    b0, b1 = translation
-    solvable = all(
-        _is_integral_combination([(u0 * s00 + u1 * s10, b0), (u0 * s01 + u1 * s11, b1)])
-        for u0, u1 in kernel
-    )
-    return PeriodicPointReport(POSITIVE_DIMENSIONAL if solvable else NONE)
+def _translation_parts(tm: AffineTorusMap) -> tuple[int, ...]:
+    """(n0, q0, r0, d0, n1, q1, r1, d1) with b_i = (n_i + q_i sqrt(d_i)) / r_i."""
+    b0, b1 = tm.translation
+    return b0.num, b0.q, b0.den, b0.d, b1.num, b1.q, b1.den, b1.d
+
+
+def _classify(a00: int, a01: int, a10: int, a11: int, s00: int, s01: int,
+              s10: int, s11: int, parts: tuple[int, ...]) -> PeriodicPointReport:
+    """Solutions of (A^p - I) x = -c_p (mod Z^2), given A^p = [[a00, a01],
+    [a10, a11]], the geometric sum S_p = I + A + ... + A^(p-1) = [[s00, s01],
+    [s10, s11]] and the translation's _translation_parts, with c_p = S_p b."""
+    lefschetz = 2 - a00 - a11  # det(A^p - I), since det A^p = 1
+    if lefschetz:
+        return PeriodicPointReport(COUNT, abs(lefschetz))
+    # singular: solvable exactly when u . c_p = (u S_p) . b is integral for
+    # every row u of the left kernel of A^p - I, spanned by the primitive row
+    # orthogonal to a nonzero column (a, c), or all of Z^2 when A^p = I
+    a, c = (a00 - 1, a10) if a00 - 1 or a10 else (a01, a11 - 1)
+    g = gcd(a, c)
+    kernel = ((c // g, -a // g),) if g else ((1, 0), (0, 1))
+    n0, q0, r0, d0, n1, q1, r1, d1 = parts
+    for u0, u1 in kernel:
+        k0, k1 = u0 * s00 + u1 * s10, u0 * s01 + u1 * s11
+        # k0 b0 + k1 b1 has rational part (k0 n0 r1 + k1 n1 r0) / (r0 r1), and
+        # its radical parts cancel only within one radicand
+        radical = k0 * q0 * r1 + k1 * q1 * r0 if d0 == d1 else k0 * q0 or k1 * q1
+        if radical or (k0 * n0 * r1 + k1 * n1 * r0) % (r0 * r1):
+            return _NO_POINTS
+    return _CIRCLES
 
 
 def torus_periodic_points(tm: AffineTorusMap, p: int) -> PeriodicPointReport:
@@ -262,9 +257,8 @@ def torus_periodic_points(tm: AffineTorusMap, p: int) -> PeriodicPointReport:
         raise ValueError("iterate must be >= 1")
     (a, b), (c, d) = tm.matrix
     block = mat_pow([[a, b, 1, 0], [c, d, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]], p)
-    return _classify(
-        [row[:2] for row in block[:2]], [row[2:] for row in block[:2]], tm.translation
-    )
+    (a00, a01, s00, s01), (a10, a11, s10, s11) = block[:2]
+    return _classify(a00, a01, a10, a11, s00, s01, s10, s11, _translation_parts(tm))
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,16 +276,21 @@ class TorusOrbitReport:
 
 def torus_orbit_report(tm: AffineTorusMap, p_max: int) -> TorusOrbitReport:
     """Tabulate torus_periodic_points for p = 1..p_max, carrying A^p and
-    S_p from one period to the next: one product and one sum per period."""
+    S_p from one period to the next as eight ints: a period costs eight
+    integer products and four sums, and its row is a count |2 - tr(A^p)|,
+    or, at a singular period, one or two integer divisibility tests on the
+    translation's parts, read once per map."""
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    rows = []
-    first = None
-    a_pow, geometric = identity(2), [[0, 0], [0, 0]]  # A^0 and S_0
+    (m00, m01), (m10, m11) = tm.matrix
+    parts = _translation_parts(tm)
+    rows, first = [], None
+    a00, a01, a10, a11, s00, s01, s10, s11 = 1, 0, 0, 1, 0, 0, 0, 0  # A^0, S_0
     for p in range(1, p_max + 1):
-        geometric = [[s + x for s, x in zip(rs, rx)] for rs, rx in zip(geometric, a_pow)]
-        a_pow = mat_mul(a_pow, tm.matrix)
-        report = _classify(a_pow, geometric, tm.translation)
+        s00, s01, s10, s11 = s00 + a00, s01 + a01, s10 + a10, s11 + a11
+        a00, a01, a10, a11 = (a00 * m00 + a01 * m10, a00 * m01 + a01 * m11,
+                              a10 * m00 + a11 * m10, a10 * m01 + a11 * m11)
+        report = _classify(a00, a01, a10, a11, s00, s01, s10, s11, parts)
         rows.append((p, report))
         if first is None and report.kind != NONE:
             first = p

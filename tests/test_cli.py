@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from echlab import census as census_mod
-from echlab import cli, indices
+from echlab import cli, indices, lefschetz
 from echlab.census import enumerate_generators
 from echlab.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFICATION_FAILED, main, parse_exact
 from echlab.errors import EchlabError
@@ -24,10 +24,11 @@ from echlab.orbits import (
     system_to_json,
     validate_system,
 )
-from echlab.presets_io import SYSTEM_PRESETS, load_system_preset
+from echlab.presets_io import SYSTEM_PRESETS, TORUS_PRESETS, load_system_preset, load_torus_preset
 
 from test_census import _ORACLE_CUTOFF, random_census_system
 from test_indices import j0_oracle
+from test_lefschetz import random_torus_map
 
 
 def run_cli(capsys, *argv):
@@ -265,6 +266,56 @@ def test_torus_map_malformed_matrix_is_an_input_error(capsys, matrix, message):
     assert code == EXIT_INPUT_ERROR
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_index_of_the_empty_generator(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"orbits": [], "linking": [], "homology": []}))
+    code, out, err = run_cli(capsys, "index", "--system", str(path), "--m", "")
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert payload["m"] == [] and payload["I"] == payload["J0"] == 0
+    assert payload["envelope"] == [0, 0]
+    code, out, err = run_cli(capsys, "index", "--preset", "lens3", "--m", "")
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err == "error: dimension mismatch\n"
+
+
+def torus_oracle(tm, pmax):
+    """(exit code, stdout, stderr) of torus-map written through
+    json.dumps(payload, indent=2)."""
+    try:
+        report = lefschetz.torus_orbit_report(tm, pmax)
+    except ValueError as exc:
+        return EXIT_INPUT_ERROR, "", f"error: {exc}\n"
+    payload = {
+        "A": [list(r) for r in tm.matrix],
+        "b": [v.to_json() for v in tm.translation],
+        "pmax": pmax,
+        "verdict": report.verdict,
+        "first_period": report.first_period,
+        "periods": [{"p": p, "kind": r.kind, "count": r.count} for p, r in report.rows],
+    }
+    return EXIT_OK, json.dumps(payload, indent=2) + "\n", ""
+
+
+def test_torus_map_output_matches_oracle(capsys):
+    rng = random.Random(31)
+    cases = [(("--preset", name), load_torus_preset(name)) for name in TORUS_PRESETS]
+    for family in ("finite-order", "parabolic", "hyperbolic") * 3:
+        tm = random_torus_map(rng, family)
+        b = ",".join(json.dumps(v.to_json()) for v in tm.translation)
+        cases.append((("--A", json.dumps([list(r) for r in tm.matrix]), "--b", b), tm))
+    seen = set()
+    for source, tm in cases:
+        for pmax in (0, 1, 2, 60):
+            got = run_cli(capsys, "torus-map", *source, "--pmax", str(pmax))
+            assert got == torus_oracle(tm, pmax), (source, pmax)
+            for row in json.loads(got[1])["periods"] if got[0] == EXIT_OK else ():
+                seen.add(row["kind"])
+                if row["count"] is None or row["count"] > 2**64:
+                    seen.add("null" if row["count"] is None else "above 2**64")
+    assert seen == {"none", "count", "positive-dimensional", "null", "above 2**64"}
 
 
 def test_index_at_huge_multiplicities(capsys):

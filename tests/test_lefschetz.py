@@ -468,3 +468,67 @@ def test_torus_map_shape_is_checked_on_direct_construction():
     ]:
         with pytest.raises(ValueError, match="2 x 2"):
             AffineTorusMap(matrix, translation)
+
+
+def _kernel_row_one_one(k):
+    """I + k (1, -1)^T (1, 1): A^p - I = pk [[1, 1], [-1, -1]] has the left
+    kernel row (1, 1), and (1, 1) S_p = (p, p)."""
+    return ((1 + k, k), (-k, 1 - k))
+
+
+def _conjugated(rng, core, b):
+    """C A C^-1 with translation C b for a seeded C of determinant 1: the
+    map x -> Cx carries one map's periodic points onto the other's."""
+    c = random_unimodular(rng, 2)
+    if det(c) != 1:
+        c = (tuple(-x for x in c[0]), c[1])
+    a = mat_mul(mat_mul(c, core), _inverse2(c))
+    return AffineTorusMap.build(a, [c[i][0] * b[0] + c[i][1] * b[1] for i in range(2)])
+
+
+def _rational(rng):
+    return make_exact(Fraction(rng.randint(-7, 7), rng.randint(2, 6)))
+
+
+def test_torus_rows_match_the_linear_oracle_on_one_field_and_rational_translations():
+    """Translations whose radical parts cancel along the kernel row while
+    their rational parts, over unequal denominators, decide the period;
+    translations over two radicands; rational translations with
+    denominators 2..6.  Every row of both entry points against the
+    Fraction-based oracle."""
+    rng = random.Random(29)
+    x = make_exact((1, 2, 4, 2))  # (1 + 2 sqrt 2) / 4
+    y = make_exact((1, -1, 2, 2))  # (1 - sqrt 2) / 2: x + y = 3/4
+    maps = [
+        AffineTorusMap.build(_kernel_row_one_one(1), [x, -x]),
+        AffineTorusMap.build(_kernel_row_one_one(1), [x, y]),
+        AffineTorusMap.build(_kernel_row_one_one(-2), [y, x]),
+        AffineTorusMap.build(((1, 0), (0, 1)), [x, -x]),
+        AffineTorusMap.build(((1, 0), (0, 1)), [make_exact((1, 2)), make_exact((5, 6))]),
+        # kernel row (0, -1) reads b1 alone, whatever b0's radicand
+        AffineTorusMap.build(((1, 3), (0, 1)), [make_exact((1, 3, 3, 2)), make_exact((1, 4))]),
+        AffineTorusMap.build(((1, 3), (0, 1)), [make_exact((0, 1, 1, 3)), x]),
+        AffineTorusMap.build(_kernel_row_one_one(1), [make_exact((0, 1, 1, 3)), x]),
+        # sqrt 3 - sqrt 2 is not rational, though its coefficients cancel
+        AffineTorusMap.build(_kernel_row_one_one(2), [make_exact((0, 1, 1, 3)),
+                                                      make_exact((0, -1, 1, 2))]),
+    ]
+    for _ in range(12):
+        k = rng.choice((1, 2, 3, -1, -2))
+        z = make_exact((rng.randint(-5, 5), rng.randint(1, 4), rng.randint(2, 6),
+                        rng.choice((2, 3, 5))))
+        maps.append(_conjugated(rng, _kernel_row_one_one(k),
+                                [z + _rational(rng), _rational(rng) - z]))
+        maps.append(_conjugated(rng, ((1, 0), (0, 1)), [_rational(rng), _rational(rng)]))
+        family = ("finite-order", "parabolic", "hyperbolic")[rng.randrange(3)]
+        tm = random_torus_map(rng, family)
+        maps.append(AffineTorusMap.build(tm.matrix, [_rational(rng), _rational(rng)]))
+    singular = set()
+    for tm in maps:
+        report = torus_orbit_report(tm, 40)
+        for p, row in report.rows:
+            assert row == linear_periodic_points(tm, p) == torus_periodic_points(tm, p), (tm, p)
+            if row.kind != COUNT:
+                singular.add((row.kind, len({v.den for v in tm.translation}) > 1))
+    assert singular == {(kind, unequal) for kind in (NONE, POSITIVE_DIMENSIONAL)
+                        for unequal in (False, True)}
