@@ -105,18 +105,25 @@ def _sqrt_upper(x: Fraction) -> Fraction:
     return Fraction(isqrt(x.numerator * x.denominator) + 1, x.denominator)
 
 
-def _certified_box(system: OrbitSystem, i_max: int, c: Fraction) -> int:
-    """Per-coordinate bound B: any m with some m_i > B has index > i_max.
-
-    Uses I(m) > Qbar(m) - sum m_i max(0, 2 - 2 eta_i - phi_i) together with
-    the coercivity constant c of the quadrant-positive form.
-    """
-    if i_max < 0:
-        return 0
+def _linear_slack(system: OrbitSystem) -> Fraction:
+    """A rational s >= 0 with I(m) > Qbar(m) - s sum m_i on the quadrant:
+    the largest 2 - 2 eta_i - phi_i, phi_i read from below."""
     slack = Fraction(0)
     for orbit in system.orbits:
         lo, _ = orbit.phi.rational_bounds(_BOUND_BITS)
         slack = max(slack, 2 - 2 * orbit.eta - lo)
+    return slack
+
+
+def _certified_box(system: OrbitSystem, i_max: int, c: Fraction) -> int:
+    """Per-coordinate bound B: any m with some m_i > B has index > i_max.
+
+    Uses I(m) > Qbar(m) - slack sum m_i (_linear_slack) together with the
+    coercivity constant c of the quadrant-positive form.
+    """
+    if i_max < 0:
+        return 0
+    slack = _linear_slack(system)
     n = system.n
     # solve c t^2 - n*slack*t - i_max <= 0 for t
     disc = (n * slack) ** 2 + 4 * c * i_max
@@ -445,14 +452,3 @@ def min_index_on_shells(
         radius = isqrt(norm_sq - 1) + 1 if norm_sq else 0  # ceil of the Euclidean norm
         best[radius] = min(value, best.get(radius, value))
     return [(r, best[r]) for r in radii if r in best]
-
-
-def fit_shell_lower_bound(shells: Sequence[tuple[int, int]]) -> tuple[float, float]:
-    """Least-squares (c1, c2) with min-I(r) ~ c1 r^2 - c2 over the shells."""
-    pts = [(r, v) for r, v in shells if r > 0]
-    if len(pts) < 2:
-        raise ValueError("need at least two nonzero radii")
-    xs = [float(r * r) for r, _ in pts]
-    ys = [float(v) for _, v in pts]
-    fit = linear_regression(xs, ys)
-    return fit.slope, -fit.intercept

@@ -53,12 +53,17 @@ _NAMED_REALS = {
 
 
 def parse_exact(text: str) -> ExactReal:
-    """Accept a shorthand name, sqrtN, an integer, p/q, or inline JSON."""
+    """Accept a shorthand name or sqrtN, either with one leading minus sign,
+    an integer, p/q, or inline JSON."""
     text = text.strip()
-    if text in _NAMED_REALS:
-        return make_exact(_NAMED_REALS[text])
-    if text.startswith("sqrt") and text[4:].isdigit():
-        return make_exact((0, 1, 1, int(text[4:])))
+    negate = text.startswith("-")
+    name = text[1:] if negate else text
+    spec = _NAMED_REALS.get(name)
+    if spec is None and name.startswith("sqrt") and name[4:].isdecimal():
+        spec = (0, 1, 1, int(name[4:]))
+    if spec is not None:
+        value = make_exact(spec)
+        return -value if negate else value
     if text.startswith("{"):
         return make_exact(json.loads(text))
     try:
@@ -307,7 +312,15 @@ def _cmd_torus_map(args: argparse.Namespace) -> int:
         translation = [parse_exact(v) for v in _split_top_level(args.b)]
         tm = lefschetz.AffineTorusMap.build(matrix, translation)
     report = lefschetz.torus_orbit_report(tm, args.pmax)
-    _emit(args, _torus_json(tm, args.pmax, report))
+    # a hyperbolic map's counts pass CPython's 4,300-digit limit on int to
+    # str near p = 6,300; the counts are exact, so print them in full
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = _torus_json(tm, args.pmax, report)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    _emit(args, text)
     return EXIT_OK
 
 

@@ -544,9 +544,8 @@ def floor_radical_sum(rational: RationalLike, radicals: Iterable[tuple[RationalL
     The d's must be non-square, no two of them in one field (same_field).
     Terminates because a nonzero rational combination of square roots of
     such integers is irrational; when every coefficient is zero the plain rational floor is
-    returned.  Denominators are cleared once to a common R, and each round
-    encloses R*value*2^bits between integers: floor(|B| sqrt(d) 2^bits) is
-    isqrt(B^2 d 4^bits) for each integer coefficient B.
+    returned.  Terms are merged by radicand and denominators cleared once to
+    a common R; _floor_radical_state does the rest.
     """
     terms: dict[int, RationalLike] = {}
     for coeff, d in radicals:
@@ -559,6 +558,13 @@ def floor_radical_sum(rational: RationalLike, radicals: Iterable[tuple[RationalL
     coeffs = [(c.numerator * (den // c.denominator), d) for d, c in terms.items() if c]
     if not coeffs:
         return _floor_frac(rational)
+    return _floor_radical_state(base, coeffs, den)
+
+
+def _floor_radical_state(base: int, coeffs: Sequence[tuple[int, int]], den: int) -> int:
+    """floor((base + sum B*sqrt(d))/den) for den > 0 and nonzero integer B,
+    one term per field.  Each round encloses value*den*2^bits between
+    integers: floor(|B| sqrt(d) 2^bits) is isqrt(B^2 d 4^bits)."""
     bits = 32
     while bits <= 1 << 20:
         lo = hi = base << bits

@@ -25,12 +25,16 @@ doubled_eta (or the error it raised, re-raised by the calls it blocks), the
 linking rows, the nullhomologous lattice, and each phi as integers (P, Q, d)
 over one common denominator R, with every radicand of one field rescaled to
 the field's smallest.  qbar, the envelope and I - J0 are integer sums over R,
-and the floor prefixes F_i(m_i) of I come from a memo keyed on the record's
-integers (P, Q, R, d) and m_i, so a checked call hashes no ExactReal.
+so a checked call hashes no ExactReal.  The floor prefixes F_i(m_i) of I
+come from one table per orbit on the record, dropped with it: a miss next to
+a held entry is one isqrt certificate, F(t) = F(t-1) + floor(t phi) or
+F(t+1) - floor((t+1) phi), and any other miss is one continued-fraction
+floor sum, O(log t).
 qbar is defined exactly when the irrational phi_i with m_i != 0 lie in one
 field, whatever the orbit order; otherwise it raises MixedFieldError and
-index_report gives None.  In that one-field case the envelope's floor is one
-isqrt certificate too; only mixed fields need floor_radical_sum's refinement.
+index_report gives None.  The envelope's floor is one isqrt certificate when
+those phi_i lie in at most one field, and the multi-radical refinement on
+integers (exactreal._floor_radical_state) when they span several.
 """
 
 from __future__ import annotations
@@ -52,11 +56,11 @@ from .errors import (
 )
 from .exactreal import (
     ExactReal,
+    _floor_radical_state,
     _floor_state,
     _floor_sum_state,
     ceil_mult,
     floor_mult,
-    floor_radical_sum,
     multiple_is_integral,
     same_field,
 )
@@ -79,14 +83,36 @@ def conley_zehnder(theta: ExactReal, k: int) -> int:
     return 2 * floor_mult(theta, k) + 1
 
 
-@lru_cache(maxsize=4096)
-def _floor_prefix(phi: tuple[int, int, int], r: int, m: int) -> int:
-    """sum_{k=1..m} floor(k*phi) for phi = (P + Q*sqrt(d))/r, memoized since
-    checked calls reuse it.  The key is a CompiledSystem's integers: its
-    (P, Q, d) tuple for phi and its denominator R.  One value may sit under
-    several keys (over different R), but a key never names two values."""
-    p, q, d = phi
-    return _floor_sum_state(p, q, r, d, m)
+# the most entries one orbit's prefix table holds
+_PREFIX_CAP = 4096
+
+
+class _PrefixTable(dict):
+    """t -> F(t) = sum_{j=1..t} floor(j phi) for one orbit's
+    phi = (p + q*sqrt(d))/r, filled as it is read.  A miss next to a held
+    entry costs one _floor_state certificate, from below or from above; any
+    other miss runs _floor_sum_state.  Past _PREFIX_CAP entries a miss is
+    computed and not stored."""
+
+    __slots__ = ("p", "q", "r", "d")
+
+    def __init__(self, phi: tuple[int, int, int], r: int):
+        super().__init__(((0, 0),))
+        self.p, self.q, self.d = phi
+        self.r = r
+
+    def __missing__(self, t: int) -> int:
+        p, q, r, d = self.p, self.q, self.r, self.d
+        value = self.get(t - 1)
+        if value is not None:
+            value += _floor_state(t * p, t * q, r, d)
+        elif (value := self.get(t + 1)) is not None:
+            value -= _floor_state((t + 1) * p, (t + 1) * q, r, d)
+        else:
+            value = _floor_sum_state(p, q, r, d, t)
+        if len(self) < _PREFIX_CAP:
+            self[t] = value
+        return value
 
 
 def doubled_eta(orbit) -> int:
@@ -143,7 +169,9 @@ class CompiledSystem:
     the hyperbolic ones, and those whose doubled_eta raises.  phi[i] is
     (P, Q, d) with phi_i = (P + Q sqrt(d))/denominator, one d per field (the
     smallest radicand of the system in it), or None for an orbit without
-    phi.  lattice is None when nullhomologous_lattice raises.
+    phi.  lattice is None when nullhomologous_lattice raises.  prefixes[i]
+    is orbit i's floor-prefix table over the denominator (None without phi),
+    the one prefix memo of the checked calls; it lives as long as the record.
     """
 
     elliptic: tuple[bool, ...]
@@ -153,11 +181,13 @@ class CompiledSystem:
     denominator: int
     linking: tuple[tuple[int, ...], ...]
     lattice: NullLattice | None
+    prefixes: tuple[_PrefixTable | None, ...]
 
 
 @lru_cache(maxsize=256)
 def compile_system(system: OrbitSystem) -> CompiledSystem:
-    """The system's CompiledSystem; the one per-system cache of the package.
+    """The system's CompiledSystem; the one per-system cache of the package,
+    so the floor-prefix tables on a record are dropped with it.
 
     Nothing is raised here: _check_generator repeats a failing step when a
     generator reaches it, so each error keeps its place in the check order.
@@ -189,17 +219,19 @@ def compile_system(system: OrbitSystem) -> CompiledSystem:
         lattice = nullhomologous_lattice(system)
     except (NonTorsionClassError, IndexError):  # raised again once the generator checks pass
         lattice = None
+    compiled_phi = tuple(
+        None if phi is None else (phi.num * (den // phi.den), phi.q * (den // phi.den), phi.d)
+        for phi in phis
+    )
     return CompiledSystem(
         elliptic=elliptic,
         two_eta=tuple(two_eta),
         faults=tuple(faults),
-        phi=tuple(
-            None if phi is None else (phi.num * (den // phi.den), phi.q * (den // phi.den), phi.d)
-            for phi in phis
-        ),
+        phi=compiled_phi,
         denominator=den,
         linking=system.linking,
         lattice=lattice,
+        prefixes=tuple(None if phi is None else _PrefixTable(phi, den) for phi in compiled_phi),
     )
 
 
@@ -226,13 +258,10 @@ def _check_generator(system: OrbitSystem, m: Sequence[int]) -> tuple[Generator, 
 
 
 def _index(m: Generator, compiled: CompiledSystem) -> int:
-    """I on a checked generator; an odd value means inconsistent eta."""
-    den = compiled.denominator
-    prefixes = [
-        {mult: _floor_prefix(phi, den, mult)} if mult else None
-        for mult, phi in zip(m, compiled.phi)
-    ]
-    total = index_formula(compiled, m, prefixes)
+    """I on a checked generator, reading the record's prefix tables (a
+    checked m_i != 0 sits on an orbit with a table); an odd value means
+    inconsistent eta."""
+    total = index_formula(compiled, m, compiled.prefixes)
     if total % 2:
         raise IndexParityError(
             f"index {total} is odd for all-elliptic generator {m}; eta inputs inconsistent"
@@ -407,8 +436,8 @@ def index_envelope(system: OrbitSystem, m: Sequence[int]) -> tuple[int, int]:
     From k*phi - 1 < floor(k*phi) <= k*phi the index satisfies
     2S - 2|m| < I <= 2S with S the formula's floor-free evaluation; the
     bounds are rounded outward with a certified floor: one isqrt when the
-    irrational phi_i with m_i != 0 lie in one field, the multi-radical
-    refinement of floor_radical_sum when they span several.
+    irrational phi_i with m_i != 0 lie in at most one field, the
+    multi-radical refinement on integers when they span several.
     """
     return _envelope(*_check_generator(system, m))
 
@@ -431,36 +460,31 @@ _NO_FLOORS = _ReadAs(_ReadAs(0))
 
 def _envelope(m: Generator, compiled: CompiledSystem) -> tuple[int, int]:
     """index_envelope on a checked generator.  hi is the formula with every
-    floor prefix read as 0 plus floor(sum m_i(m_i + 1) phi_i).  That floor is
-    one _floor_state certificate when the irrational phi_i with m_i != 0
-    share one radicand, which compile_system makes true of one field, or
-    when there are none; only mixed fields reach floor_radical_sum."""
+    floor prefix read as 0 plus floor(sum m_i(m_i + 1) phi_i), an integer
+    over the denominator R plus one radical term per field (compile_system
+    gives each field one radicand).  That floor is one _floor_state
+    certificate with at most one nonzero radical term, and otherwise
+    _floor_radical_state's refinement on the same integers."""
     total_mult = sum(m)
     if total_mult == 0:
         return (0, 0)
     floor_free = index_formula(compiled, m, _NO_FLOORS)
-    # sum m_i(m_i + 1) phi_i = (rational + sum radical_d sqrt(d))/R, and for
-    # an integer R > 0, floor(x/R) = floor(floor(x)/R)
-    den = compiled.denominator
-    rational = radical = 0
-    field = None  # the radicand of the first irrational phi_i met
-    others = []  # (coefficient, radicand) of the phi_i in other fields
+    rational = 0
+    radicals: dict[int, int] = {}  # radicand -> coefficient, over R
     for mult, phi in zip(m, compiled.phi):
         if mult:
             p, q, d = phi
             weight = mult * (mult + 1)
             rational += p * weight
-            if not q:
-                continue
-            if field is None or d == field:
-                radical += q * weight
-                field = d
-            else:
-                others.append((q * weight, d))
-    if others:
-        hi = floor_free + floor_radical_sum(rational, [(radical, field), *others]) // den
+            if q:
+                radicals[d] = radicals.get(d, 0) + q * weight
+    coeffs = [(b, d) for d, b in radicals.items() if b]
+    den = compiled.denominator
+    if len(coeffs) > 1:
+        hi = floor_free + _floor_radical_state(rational, coeffs, den)
     else:
-        hi = floor_free + _floor_state(rational, radical, den, field or 1)
+        b, d = coeffs[0] if coeffs else (0, 1)
+        hi = floor_free + _floor_state(rational, b, den, d)
     return (hi - 2 * total_mult + 1, hi)
 
 

@@ -19,7 +19,6 @@ from echlab.census import (
     census_rows,
     ellipsoid_verify,
     enumerate_generators,
-    fit_shell_lower_bound,
     floor_prefix_table,
     growth_exponent,
     min_index_on_shells,
@@ -735,10 +734,23 @@ def test_min_index_on_shells():
     shells = min_index_on_shells(ELLIPSOID, range(0, 41))
     assert shells[0] == (0, 0)
     assert shells[1] == (1, 2)  # generator (0, 1)
-    c1, c2 = fit_shell_lower_bound(shells)
-    assert c1 > 0
-    # every shell minimum respects the fitted quadratic reasonably: the fit
-    # witnesses quadratic growth rather than a sharp bound, so just check trend
-    radii = [r for r, _ in shells]
-    values = [v for _, v in shells]
-    assert values[-1] > values[len(values) // 2] > values[1]
+    # certified: on shell r >= 1, |m| > r - 1 and every m_i <= r, so
+    # I(m) > Qbar(m) - slack sum m_i >= c (r - 1)^2 - slack n r
+    negative_eta = OrbitSystem(
+        (Orbit("a", ELLIPTIC, eta=Fraction(-1), phi=SQRT2),
+         Orbit("b", ELLIPTIC, eta=Fraction(-1), phi=SQRT3)),
+        ((0, 1), (1, 0)),
+        Homology(),
+    )
+    for system in (ELLIPSOID, negative_eta):
+        shells = min_index_on_shells(system, range(0, 41))
+        certificate = qbar_quadrant_positive(system)
+        assert certificate.verdict == "positive"
+        c, slack, n = certificate.coercivity, census._linear_slack(system), system.n
+        assert c > 0 and slack >= 0
+        for r, value in shells[1:]:
+            assert value >= c * (r - 1) ** 2 - slack * n * r, (system, r)
+        assert len(shells) == 41
+        # the bound has force: at the largest radius it exceeds the smallest index
+        assert shells[-1][1] > c * 39**2 - slack * n * 40 > max(shells[1][1], 0)
+    assert census._linear_slack(negative_eta) > 2

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -47,6 +48,14 @@ def test_parse_exact_shorthands():
     )
     with pytest.raises(ValueError):
         parse_exact("nonsense")
+
+
+def test_parse_exact_negated_shorthands():
+    for name in ("sqrt2", "sqrt3", "sqrt5", "sqrt12", "sqrt7", "golden", "1/sqrt2", "sqrt2m1"):
+        assert parse_exact("-" + name) == -parse_exact(name), name
+    for text in ("--sqrt2", "-", "- sqrt2", "+sqrt2", "sqrt\u00b2", "-sqrt"):
+        with pytest.raises(ValueError, match="cannot parse exact real"):
+            parse_exact(text)
 
 
 def test_ellipsoid_verify_exits_zero(capsys):
@@ -235,6 +244,43 @@ def test_torus_map_inline_json_translation(capsys):
         {"kind": "quadratic", "p": 1, "q": 1, "r": 2, "d": 5},
         {"kind": "rational", "num": 0, "den": 1},
     ]
+
+
+def test_torus_map_negated_shorthand_translation(capsys):
+    argv = ("torus-map", "--A", "[[1,1],[0,1]]", "--b=sqrt2,-sqrt2", "--pmax", "4")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["b"] == [
+        {"kind": "quadratic", "p": 0, "q": 1, "r": 1, "d": 2},
+        {"kind": "quadratic", "p": 0, "q": -1, "r": 1, "d": 2},
+    ]
+    sqrt2 = make_exact((0, 1, 1, 2))
+    tm = lefschetz.AffineTorusMap.build([[1, 1], [0, 1]], [sqrt2, -sqrt2])
+    assert (code, out, err) == torus_oracle(tm, 4)
+
+
+def test_torus_map_prints_counts_past_the_int_digit_limit(capsys):
+    # |2 - tr(A^p)| passes 4,300 digits near p = 6,300; the setting the
+    # caller had is back in place after main returns
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        code, out, err = run_cli(
+            capsys, "torus-map", "--A", "[[5,-1],[1,0]]", "--b", "0,0", "--pmax", "6500"
+        )
+        assert sys.get_int_max_str_digits() == 5000
+        assert (code, err) == (EXIT_OK, "")
+        sys.set_int_max_str_digits(0)
+        tm = lefschetz.AffineTorusMap.build([[5, -1], [1, 0]], [make_exact(0), make_exact(0)])
+        assert (code, out, err) == torus_oracle(tm, 6500)
+        traces = [2, 5]  # tr(A^p) = 5 tr(A^(p-1)) - tr(A^(p-2))
+        while len(traces) <= 6500:
+            traces.append(5 * traces[-1] - traces[-2])
+        rows = json.loads(out)["periods"]
+        assert [row["count"] for row in rows] == [abs(2 - t) for t in traces[1:]]
+        assert len(str(rows[-1]["count"])) > 4300
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize("given", [("--b", "0,0"), ("--A", "[[1,1],[0,1]]")])

@@ -726,11 +726,11 @@ def _one_field_system(rng, n):
 
 def test_one_field_envelope_matches_fraction_oracle(monkeypatch):
     # one field or none: the envelope is one _floor_state certificate and
-    # never reaches floor_radical_sum
+    # never reaches the multi-radical refinement
     def refuse(*args):
-        raise AssertionError("floor_radical_sum called on a one-field envelope")
+        raise AssertionError("_floor_radical_state called on a one-field envelope")
 
-    monkeypatch.setattr(indices, "floor_radical_sum", refuse)
+    monkeypatch.setattr(indices, "_floor_radical_state", refuse)
     rng = random.Random(25)
     seen = set()
     for _ in range(120):
@@ -756,6 +756,45 @@ def test_one_field_envelope_matches_fraction_oracle(monkeypatch):
     assert seen == {0, 1, 2, 3, 4, "rational", "one-field", "several-radicands"}
 
 
+def test_mixed_field_envelope_merges_radicands(monkeypatch):
+    # a field whose coefficients cancel, and a radicand met twice after the
+    # first field: the envelope merges terms by radicand before its floor
+    refinements = []
+    kernel = indices._floor_radical_state
+
+    def counted(*args):
+        refinements.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(indices, "_floor_radical_state", counted)
+    systems = {
+        # sqrt 2 with weights 1 and -1 cancels; sqrt 3 twice, then sqrt 5
+        "first-zero": [(0, 1, 1, 2), (3, -1, 1, 2), (0, 1, 1, 3), (1, 2, 3, 3), (0, 1, 1, 5)],
+        # sqrt 3 again after sqrt 5: sqrt 12 = 2 sqrt 3
+        "repeat": [(0, 1, 1, 3), (0, 1, 1, 5), (1, 1, 1, 12), (2, -1, 3, 2)],
+    }
+    seen = set()
+    for name, phis in systems.items():
+        system = make_system(phis)
+        n = len(phis)
+        for m in product((0, 1, 2, 5), repeat=n):
+            before = len(refinements)
+            assert index_envelope(system, m) == _envelope_oracle(system, m), (name, m)
+            assert index_report(system, m).envelope == _envelope_oracle(system, m)
+            fields = {}
+            for v, phi in zip(m, phis):
+                if v and phi[1]:
+                    f = {12: 3}.get(phi[3], phi[3])
+                    fields[f] = fields.get(f, 0) + Fraction(phi[1] * v * (v + 1), phi[2])
+            nonzero = [f for f, c in fields.items() if c]
+            assert (len(refinements) > before) == (len(nonzero) > 1), (name, m)
+            if len(fields) > len(nonzero):
+                seen.add("cancelled-field")
+            if len(nonzero) > 1 and sum(1 for v, phi in zip(m, phis) if v and phi[1]) > len(fields):
+                seen.add("repeated-radicand")
+    assert seen == {"cancelled-field", "repeated-radicand"}
+
+
 def test_warm_prefix_memo_keeps_systems_apart():
     # pairs that hold one phi value under two common denominators R, and
     # pairs whose memo keys would collide with R or d left out of the key
@@ -777,11 +816,87 @@ def test_warm_prefix_memo_keeps_systems_apart():
             for system in systems
         ]
         for order in ((0, 1), (1, 0)):
-            indices._floor_prefix.cache_clear()
+            compile_system.cache_clear()
             for i in order:
                 got = [index_report(systems[i], m).I for m in generators]
                 assert got == expected[i], (order, i)
                 assert got == [ech_index(systems[i], m) for m in generators]
+
+
+def _count_floor_sums(monkeypatch):
+    """A list that grows by one per continued-fraction floor sum a prefix
+    table runs."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return floor_sum(ExactReal._in_field(*args[:4]), args[4])
+
+    monkeypatch.setattr(indices, "_floor_sum_state", counted)
+    return calls
+
+
+def test_prefix_tables_match_floor_mult_sums(monkeypatch):
+    calls = _count_floor_sums(monkeypatch)
+    rng = random.Random(27)
+    for case in range(12):
+        system = _random_kernel_system(rng)
+        compiled = compile_system(system)
+        for i, orbit in enumerate(system.orbits):
+            top = rng.choice((30, 80))
+            expected = [0]
+            for k in range(1, top + 1):
+                expected.append(expected[-1] + floor_mult(orbit.phi, k))
+            order = ("ascending", "descending", "random")[(case + i) % 3]
+            asks = list(range(1, top + 1))
+            if order == "descending":
+                asks.reverse()
+            elif order == "random":
+                rng.shuffle(asks)
+            table = compiled.prefixes[i]
+            table.clear()  # a table starts from F(0) = 0 alone
+            table[0] = 0
+            del calls[:]
+            assert [table[t] for t in asks] == [expected[t] for t in asks], (system, i)
+            # ascending fills every miss from below; descending runs one
+            # continued-fraction sum, then fills from above
+            expected_calls = {"ascending": 0, "descending": 1}.get(order)
+            assert expected_calls is None or len(calls) == expected_calls, order
+            assert len(calls) < top
+            assert len(table) == top + 1
+    # an isolated large m costs one floor sum and leaves one entry behind
+    system = make_system([(0, 1, 1, 2), (1, 3)])
+    table = compile_system(system).prefixes[0]
+    del calls[:]
+    assert table[20_000] == sum(floor_mult(SQRT2, k) for k in range(1, 20_001))
+    assert len(calls) == 1 and sorted(table) == [0, 20_000]
+    assert table[19_999] == table[20_000] - floor_mult(SQRT2, 20_000)
+    assert table[20_001] == table[20_000] + floor_mult(SQRT2, 20_001)
+    assert len(calls) == 1
+    # rational phi = 1/3: F(t) = sum floor(k/3)
+    rational = compile_system(system).prefixes[1]
+    assert [rational[t] for t in (7, 8, 6, 1, 100)] == [
+        sum(k // 3 for k in range(1, t + 1)) for t in (7, 8, 6, 1, 100)
+    ]
+
+
+def test_prefix_table_is_capped(monkeypatch):
+    system = make_system([(1, 1, 2, 5)])
+    golden = system.orbits[0].phi
+    table = compile_system(system).prefixes[0]
+    cap = indices._PREFIX_CAP
+    assert cap == 4096
+    total = 0
+    for t in range(1, cap + 50):
+        total += floor_mult(golden, t)
+        assert table[t] == total
+    assert len(table) == cap  # F(0) and F(1..cap-1)
+    assert cap + 10 not in table
+    # past the cap a miss far from any entry is computed, not stored
+    calls = _count_floor_sums(monkeypatch)
+    assert ech_index(system, (9000,)) == ech_index(system, (9000,))
+    assert len(calls) == 2 and 9000 not in table
+    assert index_report(system, (9000,)).I == 2 * 9000 + 2 * floor_sum(golden, 9000)
 
 
 # -- the checked entry points raise in one order ------------------------------
